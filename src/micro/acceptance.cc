@@ -49,8 +49,11 @@ void MajorityVote::init(cactus::CompositeProtocol& proto) {
   auto evaluate = [state](cactus::EventContext& ctx) {
     auto inv = ctx.dyn<InvocationPtr>();
     RequestPtr req = inv->request;
-    Request::Counts counts = req->counts();
-    const int majority = counts.expected / 2 + 1;
+    // Only `expected` comes from the request. Its success/failure counts
+    // run ahead of the tally (every replier records its outcome before it
+    // reaches this handler), so replies seen are counted here, under mu.
+    const int expected = req->expected_replies();
+    const int majority = expected / 2 + 1;
 
     MutexLock lk(state->mu);
     if (req->is_done()) {  // e.g. timed out — drop the tally, ignore reply
@@ -58,15 +61,20 @@ void MajorityVote::init(cactus::CompositeProtocol& proto) {
       ctx.halt();
       return;
     }
-    auto& tally = state->tallies[req->id];
-    if (inv->success) tally.push_back(inv->result);
+    Tally& tally = state->tallies[req->id];
+    ++tally.replies;
+    if (inv->success) {
+      tally.values.push_back(inv->result);
+    } else {
+      ++tally.failures;
+    }
 
     // Best-supported value so far.
     int best = 0;
     const Value* best_value = nullptr;
-    for (const Value& candidate : tally) {
-      int votes = static_cast<int>(
-          std::count(tally.begin(), tally.end(), candidate));
+    for (const Value& candidate : tally.values) {
+      int votes = static_cast<int>(std::count(
+          tally.values.begin(), tally.values.end(), candidate));
       if (votes > best) {
         best = votes;
         best_value = &candidate;
@@ -82,12 +90,12 @@ void MajorityVote::init(cactus::CompositeProtocol& proto) {
       return;
     }
 
-    const int outstanding = counts.expected - counts.successes - counts.failures;
+    const int outstanding = expected - tally.replies;
     if (best + outstanding < majority) {
       req->complete(false, Value(),
                     "majority_vote: no majority among replies (" +
-                        std::to_string(counts.failures) + "/" +
-                        std::to_string(counts.expected) + " failed)");
+                        std::to_string(tally.failures) + "/" +
+                        std::to_string(expected) + " failed)");
       state->tallies.erase(req->id);
     }
     // In all remaining cases: wait for more replies. The base resultReturner

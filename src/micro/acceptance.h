@@ -40,11 +40,16 @@ class MajorityVote : public MicroBase {
       const MicroProtocolSpec& spec);
   static MicroManifest manifest();
 
+  /// One request's replies as seen by the vote, counted under State::mu.
+  struct Tally {
+    std::vector<Value> values;  // successful reply values
+    int replies = 0;            // successes + failures evaluated
+    int failures = 0;
+  };
   /// Per-request tallies, shared between the success and failure handlers.
   struct State {
     Mutex mu;
-    /// request id -> successful reply values (one per replied replica).
-    std::map<std::uint64_t, std::vector<Value>> tallies CQOS_GUARDED_BY(mu);
+    std::map<std::uint64_t, Tally> tallies CQOS_GUARDED_BY(mu);
   };
   static constexpr const char* kStateKey = "majority_vote.state";
 };

@@ -171,7 +171,7 @@ void FailureDetector::init(cactus::CompositeProtocol& proto) {
 
   bind_tracked(proto, 
       "fd:tick", "heartbeat",
-      [this, qos](cactus::EventContext& ctx) {
+      [qos, stopped = stopped_, period = period_](cactus::EventContext& ctx) {
         for (int i = 0; i < qos->num_servers(); ++i) {
           ServerStatus before = qos->server_status(i);
           ServerStatus after = qos->probe(i);
@@ -181,8 +181,8 @@ void FailureDetector::init(cactus::CompositeProtocol& proto) {
                                                           : "failed");
           }
         }
-        if (!stopped_.load()) {
-          ctx.protocol().raise_delayed("fd:tick", std::any(true), period_);
+        if (!stopped->load()) {
+          ctx.protocol().raise_delayed("fd:tick", std::any(true), period);
         }
       },
       cactus::kOrderDefault);
@@ -191,7 +191,7 @@ void FailureDetector::init(cactus::CompositeProtocol& proto) {
 }
 
 void FailureDetector::shutdown() {
-  stopped_.store(true);
+  stopped_->store(true);
   MicroBase::shutdown();  // unbind tracked handlers
 }
 

@@ -26,9 +26,11 @@
 //     a recovered replica replays the suffix it missed from a live peer.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <utility>
@@ -104,7 +106,10 @@ class FailureDetector : public MicroBase {
 
  private:
   Duration period_;
-  std::atomic<bool> stopped_{false};
+  /// Shared with the heartbeat handler, which a pool thread may still be
+  /// running (mid-probe) after a reconfiguration destroyed this object.
+  std::shared_ptr<std::atomic<bool>> stopped_ =
+      std::make_shared<std::atomic<bool>>(false);
 };
 
 class LoadBalance : public MicroBase {

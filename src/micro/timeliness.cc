@@ -230,7 +230,8 @@ void TimedSched::init(cactus::CompositeProtocol& proto) {
   // request per period while high-priority traffic is present.
   bind_tracked(proto, 
       "ts:tick", "timedTick",
-      [this, state, threshold](cactus::EventContext& ctx) {
+      [state, threshold, stopped = stopped_,
+       period = period_](cactus::EventContext& ctx) {
         {
           MutexLock lk(state->mu);
           state->high_prev = state->high_current;
@@ -240,8 +241,8 @@ void TimedSched::init(cactus::CompositeProtocol& proto) {
             release_one_locked(*state, ctx.protocol());
           }
         }
-        if (!stopped_.load()) {
-          ctx.protocol().raise_delayed("ts:tick", std::any(true), period_);
+        if (!stopped->load()) {
+          ctx.protocol().raise_delayed("ts:tick", std::any(true), period);
         }
       },
       cactus::kOrderDefault);
@@ -250,7 +251,7 @@ void TimedSched::init(cactus::CompositeProtocol& proto) {
 }
 
 void TimedSched::shutdown() {
-  stopped_.store(true);
+  stopped_->store(true);
   MicroBase::shutdown();  // unbind tracked handlers
 }
 

@@ -20,7 +20,9 @@
 //   considered "high", default kNormalPriority+1).
 #pragma once
 
+#include <atomic>
 #include <deque>
+#include <memory>
 #include <set>
 
 #include "micro/base.h"
@@ -104,14 +106,18 @@ class TimedSched : public MicroBase {
   static constexpr const char* kStateKey = "timed_sched.state";
 
  private:
-  void release_one_locked(State& state, cactus::CompositeProtocol& proto)
+  static void release_one_locked(State& state,
+                                 cactus::CompositeProtocol& proto)
       CQOS_REQUIRES(state.mu);
 
   int high_floor_;
   Duration period_;
   int threshold_;
   cactus::CompositeProtocol* proto_ = nullptr;
-  std::atomic<bool> stopped_{false};
+  /// Shared with the tick handler, which a pool thread may still be running
+  /// after a reconfiguration destroyed this object.
+  std::shared_ptr<std::atomic<bool>> stopped_ =
+      std::make_shared<std::atomic<bool>>(false);
 };
 
 }  // namespace cqos::micro

@@ -20,9 +20,20 @@ SimNetwork::SimNetwork(NetConfig cfg) : cfg_(cfg) {
   sent_bytes_counter_ = &registry().counter("net.sent.bytes");
   faults_ = std::make_unique<FaultController>(*this, cfg.seed);
   if (cfg.drop_rate > 0) faults_->set_drop_rate(cfg.drop_rate);
+  if (!virtual_mode()) {
+    delivery_thread_ = std::thread([this] { delivery_loop(); });
+  }
 }
 
-SimNetwork::~SimNetwork() = default;
+SimNetwork::~SimNetwork() {
+  if (!delivery_thread_.joinable()) return;
+  {
+    MutexLock lk(wmu_);
+    stopping_ = true;
+    wcv_.notify_all();
+  }
+  delivery_thread_.join();
+}
 
 std::shared_ptr<Endpoint> SimNetwork::create_endpoint(const std::string& id) {
   MutexLock lk(mu_);
@@ -43,11 +54,13 @@ void SimNetwork::remove_endpoint(const std::string& id) {
     endpoints_.erase(it);
   }
   {
-    // Prune the FIFO clamp: long-lived simulations with endpoint churn
-    // would otherwise grow the shard maps without bound.
+    // Prune the destination entry (clamp and pending deliveries): long-lived
+    // simulations with endpoint churn would otherwise grow the shard maps
+    // without bound.
     ClampShard& shard = clamp_shards_[shard_of(id)];
     MutexLock lk(shard.mu);
-    shard.last.erase(id);
+    shard.dests.erase(id);
+    shard.vlast.erase(id);
   }
   ep->close();
 }
@@ -56,7 +69,7 @@ std::size_t SimNetwork::fifo_clamp_entries() const {
   std::size_t n = 0;
   for (const ClampShard& shard : clamp_shards_) {
     MutexLock lk(shard.mu);
-    n += shard.last.size();
+    n += shard.dests.size() + shard.vlast.size();
   }
   return n;
 }
@@ -195,17 +208,23 @@ bool SimNetwork::send_impl(const std::string& from, const std::string& to,
   msg.payload = std::move(payload);
   std::size_t msg_bytes = msg.payload.size();
 
-  bool held = false;
+  bool held = verdict.defer > 0;
+  // The tap runs with no network lock held (it may block, and tests use
+  // that to hold a send between validation and delivery), so a tapped
+  // real-time send queues in a second hold of the shard lock.
+  bool tapping = !held && has_tap_.load(std::memory_order_acquire);
+  Route route;
   std::vector<Message> extra;  // duplicate copy + released reorder holds
+  ClampShard& shard = clamp_shards_[shard_of(to)];
   {
     // Clamp + seq assignment is atomic per destination: senders to the same
     // destination serialize on this shard, senders to different ones don't.
-    ClampShard& shard = clamp_shards_[shard_of(to)];
     MutexLock lk(shard.mu);
     TimePoint nw = net_now();
     msg.deliver_at = nw + lat;
     // FIFO per destination: never deliver before an earlier-sent message.
-    TimePoint& clamp = shard.last[to];
+    Dest* d = virtual_mode() ? nullptr : &dest_locked(shard, dest);
+    TimePoint& clamp = d != nullptr ? d->last : shard.vlast[to];
     if (msg.deliver_at < clamp) msg.deliver_at = clamp;
     clamp = msg.deliver_at;
     msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -232,12 +251,15 @@ bool SimNetwork::send_impl(const std::string& from, const std::string& to,
     for (Message& rel : faults_->on_send(to, msg.deliver_at)) {
       extra.push_back(std::move(rel));
     }
-    if (verdict.defer > 0) {
+    if (held) {
       // Hold the message back for bounded reordering; the next `defer`
       // sends to the same destination release it.
       registry().counter("net.fault.reorder.held").inc();
-      held = true;
       faults_->hold(to, std::move(msg), verdict.defer);
+    }
+
+    if (d != nullptr && !tapping) {
+      route = route_locked(*d, msg, held, extra, nw);
     }
 
     shard.msgs += 1;
@@ -246,22 +268,46 @@ bool SimNetwork::send_impl(const std::string& from, const std::string& to,
 
   count_send(from_host, to_host, msg_bytes);
 
-  if (!held) deliver(dest, std::move(msg), /*tap=*/true);
-  for (Message& m : extra) deliver(dest, std::move(m), /*tap=*/false);
+  if (tapping) {
+    {
+      MutexLock tlk(tap_mu_);
+      if (tap_) tap_(msg);
+    }
+    if (!virtual_mode()) {
+      MutexLock lk(shard.mu);
+      route = route_locked(dest_locked(shard, dest), msg, held, extra, now());
+    }
+  }
+
+  if (virtual_mode()) {
+    if (!held) enqueue_virtual(std::move(msg));
+    for (Message& m : extra) enqueue_virtual(std::move(m));
+  } else if (route.inline_now) {
+    dest->deliver_now(std::move(msg));
+  } else if (route.wake) {
+    push_wake(to, route.wake_at);
+  }
   return true;
 }
 
-void SimNetwork::deliver(std::shared_ptr<Endpoint> dest, Message&& msg,
-                         bool tap) {
-  if (tap && has_tap_.load(std::memory_order_acquire)) {
-    MutexLock lk(tap_mu_);
-    if (tap_) tap_(msg);
+SimNetwork::Route SimNetwork::route_locked(Dest& d, Message& msg, bool held,
+                                           std::vector<Message>& extra,
+                                           TimePoint nw) {
+  // A lone, already-due message with nothing for this destination pending
+  // or being drained is delivered by the sending thread. Everything else
+  // joins the pending queue here, under the clamp shard, so a later due
+  // message cannot overtake it.
+  Route route;
+  route.inline_now = !held && extra.empty() && msg.deliver_at <= nw &&
+                     d.pending.empty() && !d.draining && !d.crashed;
+  if (!route.inline_now) {
+    if (!held) add_pending(d, std::move(msg));
+    for (Message& m : extra) add_pending(d, std::move(m));
+    extra.clear();
+    route.wake = arm_locked(d);
+    route.wake_at = d.armed_at;
   }
-  if (virtual_mode()) {
-    enqueue_virtual(std::move(msg));
-    return;
-  }
-  dest->deposit(std::move(msg));
+  return route;
 }
 
 void SimNetwork::apply_crash(const std::string& host) {
@@ -273,11 +319,21 @@ void SimNetwork::apply_crash(const std::string& host) {
       if (ep->host() == host) eps.push_back(ep);
     }
   }
-  // mark_crashed() both drops queued messages AND makes the endpoint
-  // refuse deposits, closing the race with a send() that validated crash
-  // state but deposits later. Once this returns, no in-flight message can
-  // land on the crashed host.
-  for (auto& ep : eps) ep->mark_crashed();
+  // Pending deliveries are lost with the host, and nothing new queues for
+  // it; mark_crashed() drops inbox messages AND makes the endpoint refuse
+  // new ones, closing the race with a send() that validated crash state but
+  // delivers later. Once this returns, no in-flight message can land on the
+  // crashed host.
+  for (auto& ep : eps) {
+    if (!virtual_mode()) {
+      ClampShard& shard = clamp_shards_[shard_of(ep->id())];
+      MutexLock lk(shard.mu);
+      Dest& d = dest_locked(shard, ep);
+      d.crashed = true;
+      drop_pending(d);
+    }
+    ep->mark_crashed();
+  }
 }
 
 void SimNetwork::apply_recover(const std::string& host) {
@@ -288,7 +344,14 @@ void SimNetwork::apply_recover(const std::string& host) {
       if (ep->host() == host) eps.push_back(ep);
     }
   }
-  for (auto& ep : eps) ep->mark_recovered();
+  for (auto& ep : eps) {
+    if (!virtual_mode()) {
+      ClampShard& shard = clamp_shards_[shard_of(ep->id())];
+      MutexLock lk(shard.mu);
+      dest_locked(shard, ep).crashed = false;
+    }
+    ep->mark_recovered();
+  }
 }
 
 void SimNetwork::deposit_swept(Message msg) {
@@ -308,7 +371,141 @@ void SimNetwork::deposit_swept(Message msg) {
     enqueue_virtual(std::move(msg));
     return;
   }
-  dest->deposit(std::move(msg));
+  std::string to = msg.to;
+  bool wake;
+  TimePoint wake_at;
+  {
+    ClampShard& shard = clamp_shards_[shard_of(to)];
+    MutexLock lk(shard.mu);
+    Dest& d = dest_locked(shard, dest);
+    add_pending(d, std::move(msg));
+    wake = arm_locked(d);
+    wake_at = d.armed_at;
+  }
+  if (wake) push_wake(to, wake_at);
+}
+
+// --- real-time delivery ------------------------------------------------------
+
+SimNetwork::Dest& SimNetwork::dest_locked(ClampShard& shard,
+                                          const std::shared_ptr<Endpoint>& ep) {
+  Dest& d = shard.dests[ep->id()];
+  if (d.ep != ep) {
+    // First use, or the id was re-registered: what is pending was for an
+    // endpoint that no longer exists.
+    drop_pending(d);
+    d.ep = ep;
+  }
+  return d;
+}
+
+void SimNetwork::add_pending(Dest& d, Message&& msg) {
+  if (d.crashed) {
+    BufferPool::recycle(std::move(msg.payload));
+    return;
+  }
+  // The clamp makes deliver_at non-decreasing per destination, so this
+  // appends; only a swept reorder hold (which bypasses the clamp) can land
+  // earlier. Equal timestamps keep arrival order.
+  auto pos = d.pending.end();
+  while (pos != d.pending.begin() &&
+         std::prev(pos)->deliver_at > msg.deliver_at) {
+    --pos;
+  }
+  d.pending.insert(pos, std::move(msg));
+}
+
+void SimNetwork::drop_pending(Dest& d) {
+  for (Message& m : d.pending) BufferPool::recycle(std::move(m.payload));
+  d.pending.clear();
+}
+
+bool SimNetwork::arm_locked(Dest& d) {
+  // While a batch is draining, the drain re-arms when it finishes.
+  if (d.draining || d.pending.empty() ||
+      d.pending.front().deliver_at >= d.armed_at) {
+    return false;
+  }
+  d.armed_at = d.pending.front().deliver_at;
+  return true;
+}
+
+void SimNetwork::push_wake(const std::string& to, TimePoint at) {
+  MutexLock lk(wmu_);
+  bool new_head = wakes_.empty() || at < wakes_.top().at;
+  wakes_.push(Wake{at, worder_++, to});
+  if (new_head) wcv_.notify_one();
+}
+
+void SimNetwork::delivery_loop() {
+  // Reused across drains: no allocation while a shard lock is held.
+  std::vector<Message> batch;
+  for (;;) {
+    Wake w{TimePoint{}, 0, std::string{}};
+    {
+      MutexLock lk(wmu_);
+      for (;;) {
+        if (stopping_) return;
+        if (wakes_.empty()) {
+          wcv_.wait(wmu_);
+        } else if (wakes_.top().at > now()) {
+          wcv_.wait_until(wmu_, wakes_.top().at);
+        } else {
+          break;
+        }
+      }
+      w = std::move(const_cast<Wake&>(wakes_.top()));
+      wakes_.pop();
+    }
+    drain(w.to, w.at, batch);
+    batch.clear();
+  }
+}
+
+void SimNetwork::drain(const std::string& to, TimePoint woke_for,
+                       std::vector<Message>& batch) {
+  ClampShard& shard = clamp_shards_[shard_of(to)];
+  std::shared_ptr<Endpoint> ep;
+  bool wake = false;
+  TimePoint at{};
+  {
+    MutexLock lk(shard.mu);
+    auto it = shard.dests.find(to);
+    if (it == shard.dests.end()) return;  // removed since it was armed
+    Dest& d = it->second;
+    // Wake-ups fire in time order, so none earlier than this one is left.
+    if (d.armed_at <= woke_for) d.armed_at = TimePoint::max();
+    TimePoint nw = now();
+    while (!d.pending.empty() && d.pending.front().deliver_at <= nw) {
+      batch.push_back(std::move(d.pending.front()));
+      d.pending.pop_front();
+    }
+    if (batch.empty()) {
+      wake = arm_locked(d);
+      at = d.armed_at;
+    } else {
+      d.draining = true;
+      ep = d.ep;
+    }
+  }
+  if (batch.empty()) {
+    if (wake) push_wake(to, at);
+    return;
+  }
+  // The crash and close checks happen here, at delivery time.
+  for (Message& m : batch) ep->deliver_now(std::move(m));
+  {
+    MutexLock lk(shard.mu);
+    auto it = shard.dests.find(to);
+    if (it == shard.dests.end()) return;
+    Dest& d = it->second;
+    d.draining = false;
+    // Whatever came due meanwhile gets a fresh wake-up behind the other
+    // destinations already due, so one busy destination cannot starve them.
+    wake = arm_locked(d);
+    at = d.armed_at;
+  }
+  if (wake) push_wake(to, at);
 }
 
 // --- virtual-time event loop -------------------------------------------------

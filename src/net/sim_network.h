@@ -15,13 +15,18 @@
 //
 // Two time modes (NetConfig::time_mode, DESIGN.md §14):
 //
-//   kReal    (default) the threaded mode: deliver_at is a wall-clock
-//            deadline and receivers block in Endpoint::recv() until it
-//            matures. The send path is deliberately lock-sharded — endpoint
-//            resolution under mu_, jitter from per-sender RNG streams,
-//            FIFO clamp + seq under per-destination shards, per-pair metric
-//            handles cached — so concurrent senders do not convoy on one
-//            global mutex.
+//   kReal    (default) deliver_at is a wall-clock deadline. A message that
+//            is already due, with nothing earlier for its destination still
+//            pending, is delivered by the sending thread itself; every other
+//            one waits in its destination's pending queue (kept next to the
+//            FIFO clamp, under the same shard lock) until one network-owned
+//            delivery thread, woken by a per-destination timer, hands it
+//            over as the wall clock reaches its timestamp. The send path is
+//            deliberately lock-sharded — endpoint resolution under mu_,
+//            jitter from per-sender RNG streams, FIFO clamp + seq + pending
+//            queue under per-destination shards, per-pair metric handles
+//            cached — so concurrent senders do not convoy on one global
+//            mutex.
 //
 //   kVirtual the discrete-event mode: nothing sleeps. send() enqueues a
 //            delivery event on a central priority queue; run_until() pops
@@ -32,11 +37,15 @@
 //            become virtual deadlines instead of worker-thread waits).
 //            10^5..10^6 modeled endpoints simulate in wall-clock seconds,
 //            fully seeded and reproducible.
+//
+// Both modes deliver through Endpoint::deliver_now(): the endpoint's
+// handler runs, or the message lands in its inbox for recv().
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -44,6 +53,7 @@
 #include <queue>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -163,12 +173,36 @@ class SimNetwork : public Transport {
 
   static constexpr std::size_t kShards = 16;
 
-  /// Per-destination FIFO clamp + seq assignment, sharded by destination id
-  /// so senders to different destinations never contend. The shard lock is
-  /// what makes (clamp, seq) assignment atomic per destination.
+  /// Real time: per-destination delivery state, guarded by the
+  /// destination's clamp shard.
+  struct Dest {
+    /// FIFO clamp: the latest deliver_at assigned to this destination.
+    TimePoint last{};
+    /// The endpoint these deliveries are for, and the ones not handed over
+    /// yet, sorted by (deliver_at, arrival).
+    std::shared_ptr<Endpoint> ep;
+    std::deque<Message> pending;
+    /// Earliest delivery-thread wake-up queued for this destination
+    /// (TimePoint::max() when none is known).
+    TimePoint armed_at = TimePoint::max();
+    /// The delivery thread is handing a batch of `pending` to `ep`; until
+    /// it is done, nothing for this destination is delivered inline.
+    bool draining = false;
+    /// The host is down: nothing new queues, and a crash dropped the rest.
+    bool crashed = false;
+  };
+
+  /// Per-destination FIFO clamp, seq assignment and pending deliveries,
+  /// sharded by destination id so senders to different destinations never
+  /// contend. The shard lock is what makes (clamp, seq) assignment and the
+  /// inline-or-queue decision atomic per destination.
   struct ClampShard {
     mutable Mutex mu;
-    std::map<std::string, TimePoint> last CQOS_GUARDED_BY(mu);
+    std::map<std::string, Dest> dests CQOS_GUARDED_BY(mu);
+    /// Virtual mode's FIFO clamp: that mode queues on vqueue_ and needs
+    /// only the clamp, not a Dest (whose empty std::deque already costs an
+    /// allocation per destination).
+    std::map<std::string, TimePoint> vlast CQOS_GUARDED_BY(mu);
     /// Sent-message tallies striped across the shards (the shard lock is
     /// already held where they are bumped, so they cost nothing extra);
     /// messages_sent()/bytes_sent() sum them. Keeping these off shared
@@ -200,15 +234,24 @@ class SimNetwork : public Transport {
   /// One entry on the virtual event queue: a delivery (fn empty) or a timer
   /// callback. Ordered by (at, order) where `order` is queue-insertion
   /// order — equal-timestamp events dispatch in the order they were
-  /// scheduled, mirroring the inbox multimap's insertion-order tie-break.
+  /// scheduled, mirroring the pending queue's arrival-order tie-break.
   struct VEvent {
     TimePoint at;
     std::uint64_t order;
     Message msg;
     std::function<void()> fn;
   };
-  struct VEventLater {
-    bool operator()(const VEvent& a, const VEvent& b) const {
+  /// Real time: a delivery-thread wake-up for one destination's pending
+  /// queue, ordered like VEvent.
+  struct Wake {
+    TimePoint at;
+    std::uint64_t order;
+    std::string to;
+  };
+  /// Min-heap order for both queues.
+  struct Later {
+    template <class E>
+    bool operator()(const E& a, const E& b) const {
       return a.at != b.at ? a.at > b.at : a.order > b.order;
     }
   };
@@ -226,12 +269,39 @@ class SimNetwork : public Transport {
   /// the message is late by construction.
   void deposit_swept(Message msg);
 
-  /// Deliver in the current mode: enqueue a virtual delivery event, or tap
-  /// (when `tap` is set) + deposit into the destination's inbox.
-  void deliver(std::shared_ptr<Endpoint> dest, Message&& msg, bool tap);
   void enqueue_virtual(Message&& msg);
   void dispatch_delivery(Message&& msg);
 
+  /// Real time: what send() does with a message once its clamp and seq are
+  /// assigned.
+  struct Route {
+    bool inline_now = false;  // deliver it on the sending thread
+    bool wake = false;        // queued; push a wake-up at wake_at
+    TimePoint wake_at{};
+  };
+  /// Deliver inline or queue `msg` (unless `held`) and `extra`.
+  static Route route_locked(Dest& d, Message& msg, bool held,
+                            std::vector<Message>& extra, TimePoint nw);
+  /// Real time. The destination entry for `ep` (created on first use, and
+  /// reset if `ep` replaced an endpoint of the same id).
+  Dest& dest_locked(ClampShard& shard, const std::shared_ptr<Endpoint>& ep)
+      CQOS_REQUIRES(shard.mu);
+  /// Insert into d.pending in (deliver_at, arrival) order; a crashed
+  /// destination drops the message instead.
+  static void add_pending(Dest& d, Message&& msg);
+  /// Recycle and forget everything d.pending holds.
+  static void drop_pending(Dest& d);
+  /// True when d.pending needs a new wake-up (at d.armed_at, set here) for
+  /// the delivery thread to find its head.
+  static bool arm_locked(Dest& d);
+  void push_wake(const std::string& to, TimePoint at);
+  /// The delivery thread: pops each wake-up when the wall clock reaches it
+  /// and drains that destination's due messages through deliver_now().
+  void delivery_loop();
+  /// Deliver `to`'s due messages, moved out through `batch` (empty on
+  /// entry).
+  void drain(const std::string& to, TimePoint woke_for,
+             std::vector<Message>& batch);
   /// Wire-level accounting into cfg_.metrics (global registry when null):
   /// net.sent.{msgs,bytes}, net.drop.<reason>, and the per-host-pair
   /// variants net.pair.<from>:<to>.{msgs,bytes,drops}. Lock-cheap: handles
@@ -262,10 +332,11 @@ class SimNetwork : public Transport {
   // shard locks are ever held together; judge() takes the controller lock
   // with nothing else held, hold()/on_send() are called under the
   // destination's clamp shard (keeping per-destination release bookkeeping
-  // atomic with clamp/seq assignment); deposits take only Endpoint::mu_.
-  // The metrics registry mutex is a leaf of pair_counters() misses. The
-  // virtual queue lock vmu_ is a leaf (push/pop only, never held across
-  // dispatch).
+  // atomic with clamp/seq assignment); deliveries take only Endpoint::mu_,
+  // and run handlers with no network lock held. The metrics registry mutex
+  // is a leaf of pair_counters() misses. The virtual queue lock vmu_ and
+  // the wake-up heap lock wmu_ are leaves (push/pop only, never held across
+  // dispatch or delivery).
   mutable Mutex mu_;
   const NetConfig cfg_;
   std::map<std::string, std::shared_ptr<Endpoint>> endpoints_
@@ -288,10 +359,20 @@ class SimNetwork : public Transport {
   // Virtual-time scheduler state.
   VirtualClock vclock_;
   mutable Mutex vmu_;
-  std::priority_queue<VEvent, std::vector<VEvent>, VEventLater> vqueue_
+  std::priority_queue<VEvent, std::vector<VEvent>, Later> vqueue_
       CQOS_GUARDED_BY(vmu_);
   std::uint64_t vorder_ CQOS_GUARDED_BY(vmu_) = 0;
   std::atomic<std::uint64_t> vevents_{0};
+
+  // Real-time delivery thread state: one wake-up per destination whose
+  // pending queue has a head to deliver.
+  Mutex wmu_;
+  CondVar wcv_;  // wakes the delivery thread for a new earliest wake-up
+  std::priority_queue<Wake, std::vector<Wake>, Later> wakes_
+      CQOS_GUARDED_BY(wmu_);
+  std::uint64_t worder_ CQOS_GUARDED_BY(wmu_) = 0;
+  bool stopping_ CQOS_GUARDED_BY(wmu_) = false;
+  std::thread delivery_thread_;
 
   // Declared last: destroyed first, joining the controller's scheduler
   // thread while the endpoint map it deposits into is still alive.

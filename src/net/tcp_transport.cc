@@ -154,31 +154,43 @@ bool TcpTransport::send(const std::string& from, const std::string& to,
     BufferPool::recycle(std::move(payload));
     return false;
   }
-  std::string to_host = host_of(to);
   std::size_t payload_bytes = payload.size();
 
-  MutexLock lk(mu_);
-  auto ep_it = endpoints_.find(to);
-  bool to_is_local = ep_it != endpoints_.end();
-
-  if (to_is_local && !cfg_.self_loopback) {
-    // Direct deposit: fast, but moves no wire bytes. Off by default.
-    Message msg;
-    msg.from = from;
-    msg.to = to;
-    msg.payload = std::move(payload);
-    msg.deliver_at = now();
-    msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    ep_it->second->deposit(std::move(msg));
-    msgs_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
-    sent_msgs_counter_->inc();
-    sent_bytes_counter_->inc(payload_bytes);
-    return true;
+  std::shared_ptr<Endpoint> direct;
+  {
+    MutexLock lk(mu_);
+    auto ep_it = endpoints_.find(to);
+    bool to_is_local = ep_it != endpoints_.end();
+    if (!to_is_local || cfg_.self_loopback) {
+      return enqueue_frame_locked(from, to, to_is_local, std::move(payload),
+                                  frame_len);
+    }
+    direct = ep_it->second;
   }
 
+  // Direct delivery on this thread: fast, but moves no wire bytes. Off by
+  // default.
+  Message msg;
+  msg.from = from;
+  msg.to = to;
+  msg.payload = std::move(payload);
+  msg.deliver_at = now();
+  msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+  msgs_.fetch_add(1, std::memory_order_relaxed);
+  bytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
+  sent_msgs_counter_->inc();
+  sent_bytes_counter_->inc(payload_bytes);
+  direct->deliver_now(std::move(msg));
+  return true;
+}
+
+bool TcpTransport::enqueue_frame_locked(const std::string& from,
+                                        const std::string& to,
+                                        bool to_is_local, Bytes&& payload,
+                                        std::size_t frame_len) {
+  std::size_t payload_bytes = payload.size();
   const char* drop_reason = nullptr;
-  ConnPtr conn = route_locked(to_host, to_is_local, &drop_reason);
+  ConnPtr conn = route_locked(host_of(to), to_is_local, &drop_reason);
   if (!conn) {
     count_drop(drop_reason != nullptr ? drop_reason : "noroute");
     BufferPool::recycle(std::move(payload));
@@ -323,7 +335,18 @@ void TcpTransport::on_conn_event(const std::weak_ptr<Conn>& wc,
                                  std::uint32_t events) {
   ConnPtr c = wc.lock();
   if (!c) return;
-  MutexLock lk(mu_);
+  std::vector<Delivery> due;
+  {
+    MutexLock lk(mu_);
+    conn_event_locked(c, events, &due);
+  }
+  // Handlers run here, on the loop thread, with mu_ released: a handler's
+  // reply send() takes mu_ itself.
+  for (Delivery& d : due) d.ep->deliver_now(std::move(d.msg));
+}
+
+void TcpTransport::conn_event_locked(const ConnPtr& c, std::uint32_t events,
+                                     std::vector<Delivery>* due) {
   if (c->state == Conn::State::kClosed) return;
 
   if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
@@ -343,7 +366,7 @@ void TcpTransport::on_conn_event(const std::weak_ptr<Conn>& wc,
     c->state = Conn::State::kOpen;
   }
   if ((events & EPOLLIN) != 0) {
-    read_conn_locked(c);
+    read_conn_locked(c, due);
     if (c->state == Conn::State::kClosed) return;
   }
   if (c->state == Conn::State::kOpen) {
@@ -353,7 +376,8 @@ void TcpTransport::on_conn_event(const std::weak_ptr<Conn>& wc,
   }
 }
 
-void TcpTransport::read_conn_locked(const ConnPtr& c) {
+void TcpTransport::read_conn_locked(const ConnPtr& c,
+                                    std::vector<Delivery>* due) {
   std::uint8_t buf[64 * 1024];
   for (;;) {
     ssize_t n = ::read(c->fd, buf, sizeof(buf));
@@ -369,7 +393,7 @@ void TcpTransport::read_conn_locked(const ConnPtr& c) {
         return;
       }
       while (auto f = c->decoder.next()) {
-        deposit_frame_locked(c, std::move(*f));
+        route_frame_locked(c, std::move(*f), due);
       }
       if (n < static_cast<ssize_t>(sizeof(buf))) {
         // Short read: the socket buffer is drained (avoids one guaranteed
@@ -390,7 +414,8 @@ void TcpTransport::read_conn_locked(const ConnPtr& c) {
   }
 }
 
-void TcpTransport::deposit_frame_locked(const ConnPtr& c, Frame&& f) {
+void TcpTransport::route_frame_locked(const ConnPtr& c, Frame&& f,
+                                      std::vector<Delivery>* due) {
   recv_msgs_counter_->inc();
   recv_bytes_counter_->inc(f.payload.size());
 
@@ -410,7 +435,7 @@ void TcpTransport::deposit_frame_locked(const ConnPtr& c, Frame&& f) {
   msg.payload = std::move(f.payload);
   msg.deliver_at = now();
   msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  it->second->deposit(std::move(msg));
+  due->push_back(Delivery{it->second, std::move(msg)});
 }
 
 void TcpTransport::flush_locked(const ConnPtr& c) {

@@ -15,7 +15,8 @@
 //                whether into kOpen (flush queued frames) or kClosed. A
 //                periodic tick sweeps connects older than connect_timeout.
 //   kOpen        EPOLLIN drains the socket through a FrameDecoder; decoded
-//                frames deposit into the destination Endpoint's inbox.
+//                frames are delivered to the destination Endpoint's handler
+//                on the loop thread, once mu_ is released.
 //                EPOLLOUT (armed only while the write queue is non-empty)
 //                flushes queued frames, tolerating partial writes.
 //   kClosed      terminal: fd closed, queued frames recycled, routes that
@@ -23,8 +24,8 @@
 //                EPOLLHUP, a framing protocol error (oversized/malformed
 //                frame), or connect failure/timeout.
 //
-// Routing: a frame for endpoint "host/svc" goes to (1) the local inbox if
-// the endpoint is registered here — via a real loopback connection to our
+// Routing: a frame for endpoint "host/svc" goes to (1) the local endpoint if
+// it is registered here — via a real loopback connection to our
 // own listen socket when self_loopback is set, so single-process tests
 // exercise the full wire path; (2) the connection a frame from that host
 // last arrived on (learned route — how replies reach clients on ephemeral
@@ -33,9 +34,10 @@
 // the simulator.
 //
 // Lock hierarchy (extends DESIGN.md §8): TcpTransport::mu_ > EventLoop::mu_
-// (post while routing) and TcpTransport::mu_ > Endpoint::mu_ (deposit while
-// holding the transport lock). Connection records are only mutated under
-// mu_; epoll registration calls are confined to the loop thread.
+// (post while routing). Endpoint::mu_ is never taken under mu_: decoded
+// frames are collected under it and delivered after it is released.
+// Connection records are only mutated under mu_; epoll registration calls
+// are confined to the loop thread.
 #pragma once
 
 #include <atomic>
@@ -121,10 +123,19 @@ class TcpTransport : public Transport {
   };
   using ConnPtr = std::shared_ptr<Conn>;
 
+  /// A decoded frame awaiting delivery once mu_ is released.
+  struct Delivery {
+    std::shared_ptr<Endpoint> ep;
+    Message msg;
+  };
+
   // Loop-thread entry points.
   void on_accept(std::uint32_t events);
   void on_conn_event(const std::weak_ptr<Conn>& wc, std::uint32_t events);
-  void read_conn_locked(const ConnPtr& c) CQOS_REQUIRES(mu_);
+  void conn_event_locked(const ConnPtr& c, std::uint32_t events,
+                         std::vector<Delivery>* due) CQOS_REQUIRES(mu_);
+  void read_conn_locked(const ConnPtr& c, std::vector<Delivery>* due)
+      CQOS_REQUIRES(mu_);
   void flush_locked(const ConnPtr& c) CQOS_REQUIRES(mu_);
   void rearm_locked(const ConnPtr& c) CQOS_REQUIRES(mu_);
   void close_conn_locked(const ConnPtr& c, const char* reason)
@@ -133,10 +144,15 @@ class TcpTransport : public Transport {
   void sweep_connect_timeouts();
 
   // Called under mu_ from send().
+  bool enqueue_frame_locked(const std::string& from, const std::string& to,
+                            bool to_is_local, Bytes&& payload,
+                            std::size_t frame_len) CQOS_REQUIRES(mu_);
   ConnPtr route_locked(const std::string& to_host, bool to_is_local,
                        const char** drop_reason) CQOS_REQUIRES(mu_);
   ConnPtr connect_to_locked(const std::string& addr) CQOS_REQUIRES(mu_);
-  void deposit_frame_locked(const ConnPtr& c, Frame&& f) CQOS_REQUIRES(mu_);
+  /// Learn the frame's return route and queue it for delivery.
+  void route_frame_locked(const ConnPtr& c, Frame&& f,
+                          std::vector<Delivery>* due) CQOS_REQUIRES(mu_);
 
   void count_drop(const char* reason);
   metrics::Registry& registry() const {

@@ -1,7 +1,5 @@
 #include "net/transport.h"
 
-#include <algorithm>
-
 #include "net/sim_network.h"
 #include "net/tcp_transport.h"
 
@@ -14,22 +12,13 @@ std::optional<Message> Endpoint::recv(Duration timeout) {
   MutexLock lk(mu_);
   for (;;) {
     if (closed_) return std::nullopt;
-    if (!inbox_.empty()) {
-      auto first = inbox_.begin();
-      TimePoint ready_at = first->first;
-      if (ready_at <= now()) {
-        Message msg = std::move(first->second);
-        inbox_.erase(first);
-        return msg;
-      }
-      // The head message has not matured. Give up once the caller's
-      // deadline passed and the head cannot mature before it.
-      if (ready_at > deadline && now() >= deadline) return std::nullopt;
-      cv_.wait_until(mu_, std::min(ready_at, deadline));
-    } else {
-      if (now() >= deadline) return std::nullopt;
-      cv_.wait_until(mu_, deadline);
+    if (inbox_ && !inbox_->empty()) {
+      Message msg = std::move(inbox_->front());
+      inbox_->pop_front();
+      return msg;
     }
+    if (now() >= deadline) return std::nullopt;
+    cv_.wait_until(mu_, deadline);
   }
 }
 
@@ -41,8 +30,10 @@ void Endpoint::set_handler(Handler fn) {
 void Endpoint::close() {
   MutexLock lk(mu_);
   closed_ = true;
-  inbox_.clear();
+  inbox_.reset();
+  handler_ = nullptr;
   cv_.notify_all();
+  while (active_ > 0) cv_.wait(mu_);
 }
 
 bool Endpoint::closed() const {
@@ -50,58 +41,47 @@ bool Endpoint::closed() const {
   return closed_;
 }
 
-void Endpoint::deposit(Message msg) {
-  {
-    MutexLock lk(mu_);
-    // crashed_ re-validates what send() checked at judge time: between that
-    // check and this deposit a crash_host() may have run, and a crashed
-    // host must not receive the in-flight message.
-    if (!closed_ && !crashed_) {
-      inbox_.emplace(msg.deliver_at, std::move(msg));
-      cv_.notify_all();
-      return;
-    }
-  }
-  BufferPool::recycle(std::move(msg.payload));
-}
-
 bool Endpoint::deliver_now(Message msg) {
   Handler h;
   {
     MutexLock lk(mu_);
     if (closed_ || crashed_) {
-      // Unlock before recycling; the pool is lock-free but keep the
-      // critical section minimal.
+      // Refused: recycle below, outside the lock.
     } else if (!handler_) {
-      inbox_.emplace(msg.deliver_at, std::move(msg));
+      if (!inbox_) inbox_ = std::make_unique<std::deque<Message>>();
+      inbox_->push_back(std::move(msg));
       cv_.notify_all();
       return true;
     } else {
       h = handler_;
+      ++active_;
     }
   }
-  if (h) {
-    h(std::move(msg));
-    return true;
+  if (!h) {
+    BufferPool::recycle(std::move(msg.payload));
+    return false;
   }
-  BufferPool::recycle(std::move(msg.payload));
-  return false;
+  struct Done {
+    Endpoint& ep;
+    ~Done() {
+      MutexLock lk(ep.mu_);
+      // close() may be waiting for the last in-flight call.
+      if (--ep.active_ == 0 && ep.closed_) ep.cv_.notify_all();
+    }
+  } done{*this};
+  h(std::move(msg));
+  return true;
 }
 
 void Endpoint::mark_crashed() {
   MutexLock lk(mu_);
   crashed_ = true;
-  inbox_.clear();
+  inbox_.reset();
 }
 
 void Endpoint::mark_recovered() {
   MutexLock lk(mu_);
   crashed_ = false;
-}
-
-void Endpoint::clear_inbox() {
-  MutexLock lk(mu_);
-  inbox_.clear();
 }
 
 // --- Transport ---------------------------------------------------------------

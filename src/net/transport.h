@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -49,8 +50,8 @@ struct Message {
   std::uint64_t seq = 0;
 };
 
-/// Scope guard for receive loops: recycles the message's payload into the
-/// BufferPool when the iteration finishes decoding it — the last hop of
+/// Scope guard for receive handlers: recycles the message's payload into
+/// the BufferPool when the handler finishes decoding it — the last hop of
 /// zero-copy delivery (DESIGN.md §10). The payload must not be referenced
 /// (including via ByteReader::view spans) after the guard fires.
 class PayloadRecycler {
@@ -64,9 +65,10 @@ class PayloadRecycler {
   Message& msg_;
 };
 
-/// Receiving side of one registered endpoint. Shared by both transports:
-/// the simulator deposits messages with a future deliver_at that recv()
-/// waits out; TCP deposits already-matured messages straight off the wire.
+/// Receiving side of one registered endpoint, shared by both transports.
+/// Delivery is push: the transport hands each message over on the thread
+/// that makes it due (DESIGN.md §15) — the TCP event-loop thread, the
+/// simulator's sending thread, or the simulator's delivery thread.
 class Endpoint {
  public:
   Endpoint(std::string id, std::string host) : id_(std::move(id)), host_(std::move(host)) {}
@@ -74,50 +76,53 @@ class Endpoint {
   const std::string& id() const { return id_; }
   const std::string& host() const { return host_; }
 
-  /// Block until a message is deliverable (its simulated latency elapsed) or
-  /// `timeout` passes. Returns nullopt on timeout or close. Real-time mode;
-  /// in virtual mode messages land in the inbox already matured, so
-  /// recv(Duration::zero()) drains them without blocking.
-  std::optional<Message> recv(Duration timeout);
-
-  /// Virtual-mode push delivery: the scheduler invokes `fn` the moment the
-  /// delivery event fires instead of parking the message in the inbox.
-  /// Handlers may re-enter SimNetwork::send() (e.g. to reply). Unused (and
-  /// never invoked) in real-time mode.
+  /// Handler contract. The handler runs on the delivering thread with no
+  /// transport lock held, possibly concurrently with itself (messages from
+  /// different senders). It must not block: decode, then hand off (a pool
+  /// submit, a pending-call completion, a reply send). It may take only leaf
+  /// locks and may call Transport::send() — on the simulator that can run
+  /// one more handler inline (e.g. a reply completing a pending call). It
+  /// must never close its own endpoint (close() would wait for itself).
+  /// Installed once, before traffic arrives; every message delivered while
+  /// a handler is set goes to it, in both of the simulator's time modes.
   using Handler = std::function<void(Message&&)>;
   void set_handler(Handler fn);
 
-  /// Unblock all receivers; subsequent recv() returns nullopt immediately.
+  /// Endpoints without a handler park delivered messages in an inbox (tests
+  /// reading raw endpoints). Block until one is there or `timeout` passes;
+  /// nullopt on timeout or close. Virtual mode: recv(Duration::zero())
+  /// drains what run_until() delivered.
+  std::optional<Message> recv(Duration timeout);
+
+  /// Refuse every further delivery and unblock recv(); returns only after
+  /// every in-flight handler call has returned, so the handler's captures
+  /// may be torn down afterwards. Precondition: not called from inside this
+  /// endpoint's own handler.
   void close();
   bool closed() const;
 
  private:
   friend class SimNetwork;
   friend class TcpTransport;
-  friend class FaultController;
-  /// Refused (message dropped) while the endpoint's host is crashed or the
-  /// endpoint is closed. The crash check lives HERE, at deposit time, not
-  /// only in SimNetwork::send: send() validates crash state before
-  /// depositing without holding the network lock through the deposit, so a
-  /// concurrent crash_host() would otherwise clear the inbox and still see
-  /// this in-flight message land on a "crashed" host.
-  void deposit(Message msg);
-  /// Virtual-mode delivery at event-dispatch time: crash/close check, then
-  /// handler (outside the endpoint lock) or inbox. Returns false when the
-  /// message was refused.
+
+  /// Deliver a due message: crash/close check, then the handler (outside
+  /// the endpoint lock) or the inbox. Returns false, recycling the payload,
+  /// when the message was refused.
   bool deliver_now(Message msg);
-  /// Crash transitions: mark_crashed() also drops queued messages.
+  /// Crash transitions: mark_crashed() also drops inbox messages.
   void mark_crashed();
   void mark_recovered();
-  void clear_inbox();
 
   const std::string id_;
   const std::string host_;
   mutable Mutex mu_;
   CondVar cv_;
-  // Ordered by (deliver_at, seq).
-  std::multimap<TimePoint, Message> inbox_ CQOS_GUARDED_BY(mu_);
+  /// Created on first use: endpoints with a handler never park a message,
+  /// and an empty std::deque already allocates.
+  std::unique_ptr<std::deque<Message>> inbox_ CQOS_GUARDED_BY(mu_);
   Handler handler_ CQOS_GUARDED_BY(mu_);
+  /// Handler calls in flight; close() waits for zero.
+  int active_ CQOS_GUARDED_BY(mu_) = 0;
   bool closed_ CQOS_GUARDED_BY(mu_) = false;
   bool crashed_ CQOS_GUARDED_BY(mu_) = false;
 };
@@ -232,8 +237,9 @@ struct TcpOptions {
   std::map<std::string, std::string> peers;
   /// Messages between endpoints hosted by this same transport travel
   /// through a real loopback connection to our own listen socket (true),
-  /// exercising the full connect/frame/epoll path, or are deposited
-  /// directly (false), which is faster but moves no wire bytes.
+  /// exercising the full connect/frame/epoll path, or are delivered
+  /// directly on the sending thread (false), which is faster but moves no
+  /// wire bytes.
   bool self_loopback = true;
   /// Frames larger than this are refused on send and are a protocol error
   /// on receive (the connection is closed): a corrupt or hostile length

@@ -2,14 +2,16 @@
 // which the paper's prototype used for binding POAs by name).
 //
 // Servers register (poa_name, object_id) -> IOR; clients look the pair up.
-// Runs as a daemon on its own simulated host.
+// Runs as a daemon on its own simulated host, answering from its endpoint
+// handler on whichever thread delivers.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 
+#include "common/sync.h"
+#include "common/thread_annotations.h"
 #include "net/transport.h"
 #include "platform/corba/giop.h"
 
@@ -33,12 +35,14 @@ class SmartAgent {
   void shutdown();
 
  private:
-  void loop();
+  void on_message(net::Message&& msg);
 
   net::Transport& network_;
   std::shared_ptr<net::Endpoint> endpoint_;
-  std::map<std::pair<std::string, std::string>, Ior> table_;
-  std::thread thread_;
+  /// Leaf lock: released before the reply is sent.
+  Mutex mu_;
+  std::map<std::pair<std::string, std::string>, Ior> table_
+      CQOS_GUARDED_BY(mu_);
 };
 
 }  // namespace cqos::corba

@@ -1,5 +1,7 @@
 #include "platform/corba/orb.h"
 
+#include <thread>
+
 #include "common/error.h"
 #include "common/log.h"
 #include "common/priority.h"
@@ -81,8 +83,10 @@ CorbaOrb::CorbaOrb(net::Transport& network, std::string host, OrbConfig cfg)
   int instance = g_orb_instance.fetch_add(1);
   client_ep_ = network_.create_endpoint(host_ + "/orbcli" + std::to_string(instance));
   server_ep_ = network_.create_endpoint(host_ + "/orb" + std::to_string(instance));
-  client_thread_ = std::thread([this] { client_loop(); });
-  server_thread_ = std::thread([this] { server_loop(); });
+  client_ep_->set_handler(
+      [this](net::Message&& msg) { on_client_message(std::move(msg)); });
+  server_ep_->set_handler(
+      [this](net::Message&& msg) { on_server_message(std::move(msg)); });
 }
 
 CorbaOrb::~CorbaOrb() { shutdown(); }
@@ -95,10 +99,10 @@ void CorbaOrb::emu_charge(Duration d) {
 
 void CorbaOrb::shutdown() {
   if (shutdown_.exchange(true)) return;
+  // close() waits out in-flight handlers, so none can submit to the pool
+  // once it shuts down.
   client_ep_->close();
   server_ep_->close();
-  if (client_thread_.joinable()) client_thread_.join();
-  if (server_thread_.joinable()) server_thread_.join();
   workers_.shutdown();
   pending_.fail_all("orb shutdown");
 }
@@ -253,103 +257,89 @@ void CorbaOrb::unregister_servant(const std::string& name) {
                  /*unregister=*/true, cfg_.resolve_timeout);
 }
 
-void CorbaOrb::client_loop() {
-  for (;;) {
-    auto msg = client_ep_->recv(ms(200));
-    if (!msg) {
-      if (client_ep_->closed()) return;
-      continue;
-    }
-    net::PayloadRecycler recycle_payload(*msg);
-    try {
-      ByteReader r(msg->payload);
-      GiopHeader header = read_frame(r);
-      plat::Reply reply;
-      switch (header.type) {
-        case MsgType::kReply: {
-          ReplyBody body = decode_reply_body(r);
-          reply.status = body.status == GiopReplyStatus::kNoException
-                             ? plat::ReplyStatus::kOk
-                             : plat::ReplyStatus::kAppError;
-          reply.result = std::move(body.result);
-          reply.error = std::move(body.error);
-          reply.piggyback = std::move(body.service_context);
-          break;
-        }
-        case MsgType::kPong:
-        case MsgType::kAgentRegisterAck:
-          reply.status = r.get_u8() != 0 ? plat::ReplyStatus::kOk
-                                         : plat::ReplyStatus::kAppError;
-          break;
-        case MsgType::kAgentLookupReply: {
-          Ior ior = decode_agent_lookup_reply(r);
-          if (ior.valid()) {
-            reply.status = plat::ReplyStatus::kOk;
-            reply.result = Value(ValueList{Value(ior.endpoint), Value(ior.object_key)});
-          } else {
-            reply.status = plat::ReplyStatus::kAppError;
-            reply.error = "not found";
-          }
-          break;
-        }
-        default:
-          CQOS_LOG_WARN("orb client loop: unexpected message type");
-          continue;
+void CorbaOrb::on_client_message(net::Message&& msg) {
+  net::PayloadRecycler recycle_payload(msg);
+  try {
+    ByteReader r(msg.payload);
+    GiopHeader header = read_frame(r);
+    plat::Reply reply;
+    switch (header.type) {
+      case MsgType::kReply: {
+        ReplyBody body = decode_reply_body(r);
+        reply.status = body.status == GiopReplyStatus::kNoException
+                           ? plat::ReplyStatus::kOk
+                           : plat::ReplyStatus::kAppError;
+        reply.result = std::move(body.result);
+        reply.error = std::move(body.error);
+        reply.piggyback = std::move(body.service_context);
+        break;
       }
-      pending_.complete(header.request_id, std::move(reply));
-    } catch (const std::exception& e) {
-      CQOS_LOG_ERROR("orb client loop: ", e.what());
+      case MsgType::kPong:
+      case MsgType::kAgentRegisterAck:
+        reply.status = r.get_u8() != 0 ? plat::ReplyStatus::kOk
+                                       : plat::ReplyStatus::kAppError;
+        break;
+      case MsgType::kAgentLookupReply: {
+        Ior ior = decode_agent_lookup_reply(r);
+        if (ior.valid()) {
+          reply.status = plat::ReplyStatus::kOk;
+          reply.result = Value(ValueList{Value(ior.endpoint), Value(ior.object_key)});
+        } else {
+          reply.status = plat::ReplyStatus::kAppError;
+          reply.error = "not found";
+        }
+        break;
+      }
+      default:
+        CQOS_LOG_WARN("orb client handler: unexpected message type");
+        return;
     }
+    pending_.complete(header.request_id, std::move(reply));
+  } catch (const std::exception& e) {
+    CQOS_LOG_ERROR("orb client handler: ", e.what());
   }
 }
 
-void CorbaOrb::server_loop() {
-  for (;;) {
-    auto msg = server_ep_->recv(ms(200));
-    if (!msg) {
-      if (server_ep_->closed()) return;
-      continue;
+void CorbaOrb::on_server_message(net::Message&& msg) {
+  net::PayloadRecycler recycle_payload(msg);
+  try {
+    ByteReader r(msg.payload);
+    GiopHeader header = read_frame(r);
+    if (header.type == MsgType::kPing) {
+      std::string reply_to = decode_cdr_string(r);
+      ByteWriter w(32);
+      begin_frame(w, MsgType::kPong, header.request_id);
+      w.put_u8(1);
+      finish_frame(w);
+      network_.send(server_ep_->id(), reply_to, std::move(w).take());
+      return;
     }
-    net::PayloadRecycler recycle_payload(*msg);
-    try {
-      ByteReader r(msg->payload);
-      GiopHeader header = read_frame(r);
-      if (header.type == MsgType::kPing) {
-        std::string reply_to = decode_cdr_string(r);
-        ByteWriter w(32);
-        begin_frame(w, MsgType::kPong, header.request_id);
-        w.put_u8(1);
-        finish_frame(w);
-        network_.send(server_ep_->id(), reply_to, std::move(w).take());
-        continue;
-      }
-      if (header.type != MsgType::kRequest) {
-        CQOS_LOG_WARN("orb server loop: unexpected message type");
-        continue;
-      }
-      RequestBody body = decode_request_body(r);
-      std::uint64_t id = header.request_id;
-      // Classify by the piggybacked priority (service context) before a
-      // worker is committed; legacy single-queue mode never rejects.
-      int prio = plat::piggyback_priority(body.service_context,
-                                          kNormalPriority);
-      std::string reply_to = body.reply_to;
-      auto res = workers_.try_submit(
-          prio, [this, id, body = std::move(body)]() mutable {
-            dispatch_request(id, std::move(body));
-          });
-      if (res == cactus::SubmitResult::kRejected) {
-        ReplyBody reply;
-        reply.status = GiopReplyStatus::kUserException;
-        reply.error = std::string(status::kOverloadRejected) +
-                      ": orb dispatch queue full";
-        reply.service_context[plat::kStatusPiggybackKey] =
-            Value(plat::kStatusOverloadRejected);
-        network_.send(server_ep_->id(), reply_to, encode_reply(id, reply));
-      }
-    } catch (const std::exception& e) {
-      CQOS_LOG_ERROR("orb server loop: ", e.what());
+    if (header.type != MsgType::kRequest) {
+      CQOS_LOG_WARN("orb server handler: unexpected message type");
+      return;
     }
+    RequestBody body = decode_request_body(r);
+    std::uint64_t id = header.request_id;
+    // Classify by the piggybacked priority (service context) before a
+    // worker is committed; legacy single-queue mode never rejects.
+    int prio = plat::piggyback_priority(body.service_context,
+                                        kNormalPriority);
+    std::string reply_to = body.reply_to;
+    auto res = workers_.try_submit(
+        prio, [this, id, body = std::move(body)]() mutable {
+          dispatch_request(id, std::move(body));
+        });
+    if (res == cactus::SubmitResult::kRejected) {
+      ReplyBody reply;
+      reply.status = GiopReplyStatus::kUserException;
+      reply.error = std::string(status::kOverloadRejected) +
+                    ": orb dispatch queue full";
+      reply.service_context[plat::kStatusPiggybackKey] =
+          Value(plat::kStatusOverloadRejected);
+      network_.send(server_ep_->id(), reply_to, encode_reply(id, reply));
+    }
+  } catch (const std::exception& e) {
+    CQOS_LOG_ERROR("orb server handler: ", e.what());
   }
 }
 

@@ -16,7 +16,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "cactus/thread_pool.h"
 #include "net/transport.h"
@@ -148,8 +147,10 @@ class CorbaOrb : public plat::Platform {
   bool agent_register(const std::string& poa_name, const std::string& object_id,
                       const Ior& ior, bool unregister, Duration timeout);
 
-  void client_loop();
-  void server_loop();
+  // Endpoint handlers (net::Endpoint::Handler contract): decode, then
+  // complete a pending call, submit to the worker pool or send a reply.
+  void on_client_message(net::Message&& msg);
+  void on_server_message(net::Message&& msg);
   void dispatch_request(std::uint64_t request_id, RequestBody body);
 
   net::Transport& network_;
@@ -167,8 +168,6 @@ class CorbaOrb : public plat::Platform {
       CQOS_GUARDED_BY(servants_mu_);
 
   cactus::PriorityThreadPool workers_;
-  std::thread client_thread_;
-  std::thread server_thread_;
   Mutex emu_cpu_mu_;  // serializes the emulated-CPU critical section
   std::atomic<bool> shutdown_{false};
 };

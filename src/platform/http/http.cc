@@ -243,8 +243,10 @@ HttpPlatform::HttpPlatform(net::Transport& network, std::string host,
   // The server side listens on the host's well-known port-0 endpoint so
   // other hosts can address it by convention.
   server_ep_ = network_.create_endpoint(host_ + "/http");
-  client_thread_ = std::thread([this] { client_loop(); });
-  server_thread_ = std::thread([this] { server_loop(); });
+  client_ep_->set_handler(
+      [this](net::Message&& msg) { on_client_message(std::move(msg)); });
+  server_ep_->set_handler(
+      [this](net::Message&& msg) { on_server_message(std::move(msg)); });
 }
 
 HttpPlatform::~HttpPlatform() { shutdown(); }
@@ -255,11 +257,11 @@ const std::string& HttpPlatform::server_endpoint() const {
 
 void HttpPlatform::shutdown() {
   if (shutdown_.exchange(true)) return;
+  // close() waits out in-flight handlers, so none can submit to the pool
+  // once it shuts down.
   client_ep_->close();
   server_ep_->close();
   network_.remove_endpoint(server_ep_->id());
-  if (client_thread_.joinable()) client_thread_.join();
-  if (server_thread_.joinable()) server_thread_.join();
   workers_.shutdown();
   pending_.fail_all("http shutdown");
 }
@@ -343,82 +345,68 @@ bool HttpPlatform::ping_endpoint(const std::string& endpoint, Duration timeout) 
   return entry->reply.ok();
 }
 
-void HttpPlatform::client_loop() {
-  for (;;) {
-    auto msg = client_ep_->recv(ms(200));
-    if (!msg) {
-      if (client_ep_->closed()) return;
-      continue;
+void HttpPlatform::on_client_message(net::Message&& msg) {
+  net::PayloadRecycler recycle_payload(msg);
+  try {
+    wire::Parsed parsed = wire::parse(msg.payload);
+    plat::Reply reply;
+    switch (parsed.kind) {
+      case wire::Parsed::Kind::kResponse:
+        reply.status = parsed.ok ? plat::ReplyStatus::kOk
+                                 : plat::ReplyStatus::kAppError;
+        reply.result = std::move(parsed.result);
+        reply.error = std::move(parsed.error);
+        reply.piggyback = std::move(parsed.piggyback);
+        break;
+      case wire::Parsed::Kind::kPong:
+        reply.status = plat::ReplyStatus::kOk;
+        break;
+      default:
+        CQOS_LOG_WARN("http client handler: unexpected message kind");
+        return;
     }
-    net::PayloadRecycler recycle_payload(*msg);
-    try {
-      wire::Parsed parsed = wire::parse(msg->payload);
-      plat::Reply reply;
-      switch (parsed.kind) {
-        case wire::Parsed::Kind::kResponse:
-          reply.status = parsed.ok ? plat::ReplyStatus::kOk
-                                   : plat::ReplyStatus::kAppError;
-          reply.result = std::move(parsed.result);
-          reply.error = std::move(parsed.error);
-          reply.piggyback = std::move(parsed.piggyback);
-          break;
-        case wire::Parsed::Kind::kPong:
-          reply.status = plat::ReplyStatus::kOk;
-          break;
-        default:
-          CQOS_LOG_WARN("http client loop: unexpected message kind");
-          continue;
-      }
-      pending_.complete(parsed.call_id, std::move(reply));
-    } catch (const std::exception& e) {
-      CQOS_LOG_ERROR("http client loop: ", e.what());
-    }
+    pending_.complete(parsed.call_id, std::move(reply));
+  } catch (const std::exception& e) {
+    CQOS_LOG_ERROR("http client handler: ", e.what());
   }
 }
 
-void HttpPlatform::server_loop() {
-  for (;;) {
-    auto msg = server_ep_->recv(ms(200));
-    if (!msg) {
-      if (server_ep_->closed()) return;
-      continue;
+void HttpPlatform::on_server_message(net::Message&& msg) {
+  net::PayloadRecycler recycle_payload(msg);
+  try {
+    wire::Parsed parsed = wire::parse(msg.payload);
+    if (parsed.kind == wire::Parsed::Kind::kPing) {
+      network_.send(server_ep_->id(), parsed.reply_to,
+                    wire::encode_pong(parsed.call_id));
+      return;
     }
-    net::PayloadRecycler recycle_payload(*msg);
-    try {
-      wire::Parsed parsed = wire::parse(msg->payload);
-      if (parsed.kind == wire::Parsed::Kind::kPing) {
-        network_.send(server_ep_->id(), parsed.reply_to,
-                      wire::encode_pong(parsed.call_id));
-        continue;
-      }
-      if (parsed.kind != wire::Parsed::Kind::kRequest) {
-        CQOS_LOG_WARN("http server loop: unexpected message kind");
-        continue;
-      }
-      // Classify by the piggybacked priority before a worker is committed;
-      // legacy single-queue mode never rejects.
-      int prio = plat::piggyback_priority(parsed.piggyback, kNormalPriority);
-      std::uint64_t call_id = parsed.call_id;
-      std::string reply_to = parsed.reply_to;
-      auto res = workers_.try_submit(
-          prio, [this, parsed = std::move(parsed)]() mutable {
-            dispatch(parsed.call_id, parsed.reply_to, parsed.path,
-                     parsed.method, std::move(parsed.piggyback),
-                     std::move(parsed.params));
-          });
-      if (res == cactus::SubmitResult::kRejected) {
-        PiggybackMap pb;
-        pb[plat::kStatusPiggybackKey] = Value(plat::kStatusOverloadRejected);
-        network_.send(server_ep_->id(), reply_to,
-                      wire::encode_response(
-                          call_id, false, Value(),
-                          std::string(status::kOverloadRejected) +
-                              ": http dispatch queue full",
-                          pb));
-      }
-    } catch (const std::exception& e) {
-      CQOS_LOG_ERROR("http server loop: ", e.what());
+    if (parsed.kind != wire::Parsed::Kind::kRequest) {
+      CQOS_LOG_WARN("http server handler: unexpected message kind");
+      return;
     }
+    // Classify by the piggybacked priority before a worker is committed;
+    // legacy single-queue mode never rejects.
+    int prio = plat::piggyback_priority(parsed.piggyback, kNormalPriority);
+    std::uint64_t call_id = parsed.call_id;
+    std::string reply_to = parsed.reply_to;
+    auto res = workers_.try_submit(
+        prio, [this, parsed = std::move(parsed)]() mutable {
+          dispatch(parsed.call_id, parsed.reply_to, parsed.path,
+                   parsed.method, std::move(parsed.piggyback),
+                   std::move(parsed.params));
+        });
+    if (res == cactus::SubmitResult::kRejected) {
+      PiggybackMap pb;
+      pb[plat::kStatusPiggybackKey] = Value(plat::kStatusOverloadRejected);
+      network_.send(server_ep_->id(), reply_to,
+                    wire::encode_response(
+                        call_id, false, Value(),
+                        std::string(status::kOverloadRejected) +
+                            ": http dispatch queue full",
+                        pb));
+    }
+  } catch (const std::exception& e) {
+    CQOS_LOG_ERROR("http server handler: ", e.what());
   }
 }
 

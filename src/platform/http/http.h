@@ -34,7 +34,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "cactus/thread_pool.h"
 #include "net/transport.h"
@@ -122,8 +121,10 @@ class HttpPlatform : public plat::Platform {
                    const PiggybackMap& pb, Duration timeout);
   bool ping_endpoint(const std::string& endpoint, Duration timeout);
 
-  void client_loop();
-  void server_loop();
+  // Endpoint handlers (net::Endpoint::Handler contract): decode, then
+  // complete a pending call, submit to the worker pool or send a reply.
+  void on_client_message(net::Message&& msg);
+  void on_server_message(net::Message&& msg);
   void dispatch(std::uint64_t call_id, const std::string& reply_to,
                 const std::string& path, const std::string& method,
                 PiggybackMap piggyback, ValueList params);
@@ -141,8 +142,6 @@ class HttpPlatform : public plat::Platform {
       CQOS_GUARDED_BY(servants_mu_);
 
   cactus::PriorityThreadPool workers_;
-  std::thread client_thread_;
-  std::thread server_thread_;
   std::atomic<bool> shutdown_{false};
 };
 

@@ -13,8 +13,8 @@
 
 namespace cqos::plat {
 
-/// Tracks in-flight client calls keyed by request id. The reply-dispatch
-/// loop completes entries; callers block on the entry's gate.
+/// Tracks in-flight client calls keyed by request id. The client endpoint's
+/// handler completes entries; callers block on the entry's gate.
 class PendingCalls {
  public:
   struct Entry {

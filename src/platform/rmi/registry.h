@@ -1,12 +1,14 @@
 // RMI registry: the bootstrap naming service (java.rmi.Naming analogue).
-// Binds flat names to server endpoints; runs as a daemon on its own host.
+// Binds flat names to server endpoints; runs as a daemon on its own host,
+// answering from its endpoint handler on whichever thread delivers.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 
+#include "common/sync.h"
+#include "common/thread_annotations.h"
 #include "net/transport.h"
 
 namespace cqos::rmi {
@@ -28,12 +30,14 @@ class Registry {
   void shutdown();
 
  private:
-  void loop();
+  void on_message(net::Message&& msg);
 
   net::Transport& network_;
   std::shared_ptr<net::Endpoint> endpoint_;
-  std::map<std::string, std::string> bindings_;  // name -> server endpoint
-  std::thread thread_;
+  /// Leaf lock: released before the reply is sent.
+  Mutex mu_;
+  std::map<std::string, std::string> bindings_
+      CQOS_GUARDED_BY(mu_);  // name -> server endpoint
 };
 
 }  // namespace cqos::rmi

@@ -1,5 +1,7 @@
 #include "platform/rmi/rmi.h"
 
+#include <thread>
+
 #include "common/error.h"
 #include "common/log.h"
 #include "common/priority.h"
@@ -39,8 +41,10 @@ RmiRuntime::RmiRuntime(net::Transport& network, std::string host, RmiConfig cfg)
   int instance = g_rmi_instance.fetch_add(1);
   client_ep_ = network_.create_endpoint(host_ + "/rmicli" + std::to_string(instance));
   server_ep_ = network_.create_endpoint(host_ + "/rmi" + std::to_string(instance));
-  client_thread_ = std::thread([this] { client_loop(); });
-  server_thread_ = std::thread([this] { server_loop(); });
+  client_ep_->set_handler(
+      [this](net::Message&& msg) { on_client_message(std::move(msg)); });
+  server_ep_->set_handler(
+      [this](net::Message&& msg) { on_server_message(std::move(msg)); });
 }
 
 RmiRuntime::~RmiRuntime() { shutdown(); }
@@ -53,10 +57,10 @@ void RmiRuntime::emu_charge(Duration d) {
 
 void RmiRuntime::shutdown() {
   if (shutdown_.exchange(true)) return;
+  // close() waits out in-flight handlers, so none can submit to the pool
+  // once it shuts down.
   client_ep_->close();
   server_ep_->close();
-  if (client_thread_.joinable()) client_thread_.join();
-  if (server_thread_.joinable()) server_thread_.join();
   workers_.shutdown();
   pending_.fail_all("rmi shutdown");
 }
@@ -162,102 +166,88 @@ void RmiRuntime::unregister_servant(const std::string& name) {
   registry_op(MsgType::kRegUnbind, name, "", cfg_.resolve_timeout, nullptr);
 }
 
-void RmiRuntime::client_loop() {
-  for (;;) {
-    auto msg = client_ep_->recv(ms(200));
-    if (!msg) {
-      if (client_ep_->closed()) return;
-      continue;
-    }
-    net::PayloadRecycler recycle_payload(*msg);
-    try {
-      ByteReader r(msg->payload);
-      Header h = read_header(r);
-      plat::Reply reply;
-      switch (h.type) {
-        case MsgType::kReturn: {
-          ReturnBody body = decode_return_body(r);
-          reply.status = body.ok ? plat::ReplyStatus::kOk
-                                 : plat::ReplyStatus::kAppError;
-          reply.result = std::move(body.result);
-          reply.error = std::move(body.error);
-          reply.piggyback = std::move(body.piggyback);
-          break;
-        }
-        case MsgType::kPong:
-        case MsgType::kRegAck:
-          reply.status = r.get_u8() != 0 ? plat::ReplyStatus::kOk
-                                         : plat::ReplyStatus::kAppError;
-          break;
-        case MsgType::kRegReply: {
-          if (r.get_u8() != 0) {
-            reply.status = plat::ReplyStatus::kOk;
-            reply.result = Value(r.get_string());
-          } else {
-            reply.status = plat::ReplyStatus::kAppError;
-            reply.error = "not bound";
-          }
-          break;
-        }
-        default:
-          CQOS_LOG_WARN("rmi client loop: unexpected message type");
-          continue;
+void RmiRuntime::on_client_message(net::Message&& msg) {
+  net::PayloadRecycler recycle_payload(msg);
+  try {
+    ByteReader r(msg.payload);
+    Header h = read_header(r);
+    plat::Reply reply;
+    switch (h.type) {
+      case MsgType::kReturn: {
+        ReturnBody body = decode_return_body(r);
+        reply.status = body.ok ? plat::ReplyStatus::kOk
+                               : plat::ReplyStatus::kAppError;
+        reply.result = std::move(body.result);
+        reply.error = std::move(body.error);
+        reply.piggyback = std::move(body.piggyback);
+        break;
       }
-      pending_.complete(h.call_id, std::move(reply));
-    } catch (const std::exception& e) {
-      CQOS_LOG_ERROR("rmi client loop: ", e.what());
+      case MsgType::kPong:
+      case MsgType::kRegAck:
+        reply.status = r.get_u8() != 0 ? plat::ReplyStatus::kOk
+                                       : plat::ReplyStatus::kAppError;
+        break;
+      case MsgType::kRegReply: {
+        if (r.get_u8() != 0) {
+          reply.status = plat::ReplyStatus::kOk;
+          reply.result = Value(r.get_string());
+        } else {
+          reply.status = plat::ReplyStatus::kAppError;
+          reply.error = "not bound";
+        }
+        break;
+      }
+      default:
+        CQOS_LOG_WARN("rmi client handler: unexpected message type");
+        return;
     }
+    pending_.complete(h.call_id, std::move(reply));
+  } catch (const std::exception& e) {
+    CQOS_LOG_ERROR("rmi client handler: ", e.what());
   }
 }
 
-void RmiRuntime::server_loop() {
-  for (;;) {
-    auto msg = server_ep_->recv(ms(200));
-    if (!msg) {
-      if (server_ep_->closed()) return;
-      continue;
+void RmiRuntime::on_server_message(net::Message&& msg) {
+  net::PayloadRecycler recycle_payload(msg);
+  try {
+    ByteReader r(msg.payload);
+    Header h = read_header(r);
+    if (h.type == MsgType::kPing) {
+      std::string reply_to = r.get_string();
+      ByteWriter w(16);
+      begin_message(w, MsgType::kPong, h.call_id);
+      w.put_u8(1);
+      network_.send(server_ep_->id(), reply_to, std::move(w).take());
+      return;
     }
-    net::PayloadRecycler recycle_payload(*msg);
-    try {
-      ByteReader r(msg->payload);
-      Header h = read_header(r);
-      if (h.type == MsgType::kPing) {
-        std::string reply_to = r.get_string();
-        ByteWriter w(16);
-        begin_message(w, MsgType::kPong, h.call_id);
-        w.put_u8(1);
-        network_.send(server_ep_->id(), reply_to, std::move(w).take());
-        continue;
-      }
-      if (h.type != MsgType::kCall) {
-        CQOS_LOG_WARN("rmi server loop: unexpected message type");
-        continue;
-      }
-      CallBody body = decode_call_body(r);
-      std::uint64_t id = h.call_id;
-      // Classify before committing a worker: the piggybacked priority maps
-      // the call into a traffic class of the dispatch pool (no-op in legacy
-      // single-queue mode).
-      int prio = plat::piggyback_priority(body.piggyback, kNormalPriority);
-      std::string reply_to = body.reply_to;
-      auto res = workers_.try_submit(
-          prio, [this, id, body = std::move(body)]() mutable {
-            dispatch_call(id, std::move(body));
-          });
-      if (res == cactus::SubmitResult::kRejected) {
-        // Early reject: an immediate backpressure reply instead of letting
-        // the client burn its full timeout against a saturated queue.
-        ReturnBody ret;
-        ret.ok = false;
-        ret.error = std::string(status::kOverloadRejected) +
-                    ": rmi dispatch queue full";
-        ret.piggyback[plat::kStatusPiggybackKey] =
-            Value(plat::kStatusOverloadRejected);
-        network_.send(server_ep_->id(), reply_to, encode_return(id, ret));
-      }
-    } catch (const std::exception& e) {
-      CQOS_LOG_ERROR("rmi server loop: ", e.what());
+    if (h.type != MsgType::kCall) {
+      CQOS_LOG_WARN("rmi server handler: unexpected message type");
+      return;
     }
+    CallBody body = decode_call_body(r);
+    std::uint64_t id = h.call_id;
+    // Classify before committing a worker: the piggybacked priority maps
+    // the call into a traffic class of the dispatch pool (no-op in legacy
+    // single-queue mode).
+    int prio = plat::piggyback_priority(body.piggyback, kNormalPriority);
+    std::string reply_to = body.reply_to;
+    auto res = workers_.try_submit(
+        prio, [this, id, body = std::move(body)]() mutable {
+          dispatch_call(id, std::move(body));
+        });
+    if (res == cactus::SubmitResult::kRejected) {
+      // Early reject: an immediate backpressure reply instead of letting
+      // the client burn its full timeout against a saturated queue.
+      ReturnBody ret;
+      ret.ok = false;
+      ret.error = std::string(status::kOverloadRejected) +
+                  ": rmi dispatch queue full";
+      ret.piggyback[plat::kStatusPiggybackKey] =
+          Value(plat::kStatusOverloadRejected);
+      network_.send(server_ep_->id(), reply_to, encode_return(id, ret));
+    }
+  } catch (const std::exception& e) {
+    CQOS_LOG_ERROR("rmi server handler: ", e.what());
   }
 }
 

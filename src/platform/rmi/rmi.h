@@ -11,7 +11,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "cactus/thread_pool.h"
 #include "net/transport.h"
@@ -102,8 +101,10 @@ class RmiRuntime : public plat::Platform {
                    const std::string& target, Duration timeout,
                    std::string* resolved);
 
-  void client_loop();
-  void server_loop();
+  // Endpoint handlers (net::Endpoint::Handler contract): decode, then
+  // complete a pending call, submit to the worker pool or send a reply.
+  void on_client_message(net::Message&& msg);
+  void on_server_message(net::Message&& msg);
   void dispatch_call(std::uint64_t call_id, CallBody body);
 
   net::Transport& network_;
@@ -120,8 +121,6 @@ class RmiRuntime : public plat::Platform {
       CQOS_GUARDED_BY(servants_mu_);
 
   cactus::PriorityThreadPool workers_;
-  std::thread client_thread_;
-  std::thread server_thread_;
   Mutex emu_cpu_mu_;  // serializes the emulated-CPU critical section
   std::atomic<bool> shutdown_{false};
 };

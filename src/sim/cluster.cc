@@ -43,7 +43,8 @@ Cluster::Cluster(ClusterOptions opts)
   }
   if (opts_.transport_kind == net::TransportKind::kSim &&
       opts_.net.time_mode == TimeMode::kVirtual) {
-    // The cluster's replicas run real threads blocking in Endpoint::recv();
+    // The cluster's callers block on wall-clock waits (pending replies,
+    // Cactus timeouts) and its platforms dispatch onto real thread pools;
     // virtual time has no scheduler driving those waits. Modeled-load
     // scenarios (sim/modeled_load.h) are the virtual-mode driver.
     throw ConfigError(

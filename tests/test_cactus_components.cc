@@ -8,6 +8,7 @@
 #include "cqos/cactus_client.h"
 #include "cqos/cactus_server.h"
 #include "cqos/events.h"
+#include "micro/acceptance.h"
 #include "micro/base.h"
 #include "micro/client_base.h"
 #include "micro/server_base.h"
@@ -60,6 +61,34 @@ TEST(CactusClientUnit, RequestCompletesThroughBaseChain) {
   client.cactus_request(req);
   EXPECT_TRUE(req->succeeded());
   EXPECT_EQ(req->result(), Value(1));
+}
+
+TEST(MajorityVoteUnit, TallyCountsRepliesItHasSeen) {
+  // Every replica records its outcome on the request before its reply
+  // reaches the vote, so the request's counts can already read 3/3 while
+  // the tally holds one value. The vote must count replies itself.
+  auto qos = std::make_unique<ScriptedClientQos>();
+  qos->servers = 3;
+  CactusClient client(std::move(qos));
+  client.add_micro_protocol(std::make_unique<micro::MajorityVote>());
+  auto req = std::make_shared<Request>("Obj", "m", ValueList{});
+  req->set_expected_replies(3);
+  std::vector<InvocationPtr> replies;
+  for (int i = 0; i < 3; ++i) {
+    auto inv = std::make_shared<Invocation>();
+    inv->request = req;
+    inv->server = i;
+    inv->success = true;
+    inv->result = Value(42);
+    req->record_outcome(*inv);
+    replies.push_back(inv);
+  }
+  for (const InvocationPtr& inv : replies) {
+    client.protocol().raise(ev::kInvokeSuccess, inv);
+  }
+  ASSERT_TRUE(req->is_done());
+  EXPECT_TRUE(req->succeeded()) << req->error();
+  EXPECT_EQ(req->result(), Value(42));
 }
 
 TEST(CactusClientUnit, TimesOutWhenNothingCompletesTheRequest) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -412,6 +413,215 @@ TEST(SimNetworkRngSplit, PairCountersSurviveEndpointChurn) {
   EXPECT_EQ(reg.counter("net.pair.hostA:hostB.bytes").value(), 6u);
   EXPECT_EQ(reg.counter("net.pair.hostA:hostB.drops").value(), 3u);
   EXPECT_EQ(reg.counter("net.drop.unknown_dest").value(), 3u);
+}
+
+// --- push delivery -----------------------------------------------------------
+
+NetConfig zero_latency_config() {
+  NetConfig cfg;
+  cfg.base_latency = Duration::zero();
+  cfg.per_byte = Duration::zero();
+  cfg.loopback_latency = Duration::zero();
+  cfg.jitter = 0;
+  return cfg;
+}
+
+/// Parks the simulator's delivery thread inside a handler until released,
+/// so queued deliveries stay queued for as long as a test needs.
+class DeliveryThreadBlocker {
+ public:
+  DeliveryThreadBlocker(SimNetwork& net, const std::string& from)
+      : ep_(net.create_endpoint("blocker/b")) {
+    ep_->set_handler([this](Message&&) {
+      entered_.set();
+      release_.wait();
+    });
+    // Remote (delayed) message: the delivery thread runs the handler.
+    EXPECT_TRUE(net.send(from, "blocker/b", Bytes{0}));
+    EXPECT_TRUE(entered_.wait_for(ms(2000))) << "delivery thread never ran";
+  }
+  ~DeliveryThreadBlocker() {
+    release();
+    ep_->close();  // waits for the handler to return
+  }
+  void release() { release_.set(); }
+
+ private:
+  std::shared_ptr<Endpoint> ep_;
+  Gate entered_;
+  Gate release_;
+};
+
+TEST(PushDelivery, CloseWaitsForRunningHandlerAndNoneStartsAfter) {
+  SimNetwork net(zero_latency_config());
+  auto a = net.create_endpoint("hostA/x");
+  auto b = net.create_endpoint("hostB/y");
+  Gate entered;
+  Gate release;
+  std::atomic<int> calls{0};
+  b->set_handler([&](Message&&) {
+    calls.fetch_add(1);
+    entered.set();
+    release.wait();
+  });
+  std::thread sender([&] { net.send("hostA/x", "hostB/y", Bytes{1}); });
+  if (!entered.wait_for(ms(2000))) {
+    sender.join();
+    FAIL() << "handler never ran";
+  }
+
+  std::atomic<bool> close_returned{false};
+  std::thread closer([&] {
+    b->close();
+    close_returned.store(true);
+  });
+  std::this_thread::sleep_for(ms(50));
+  EXPECT_FALSE(close_returned.load()) << "close() returned mid-handler";
+  release.set();
+  closer.join();
+  sender.join();
+  EXPECT_TRUE(close_returned.load());
+
+  for (int i = 0; i < 5; ++i) net.send("hostA/x", "hostB/y", Bytes{2});
+  std::this_thread::sleep_for(ms(20));
+  EXPECT_EQ(calls.load(), 1);
+  (void)a;
+}
+
+TEST(PushDelivery, DueMessageRunsOnSenderThreadDelayedOneOnDeliveryThread) {
+  {
+    SimNetwork net(zero_latency_config());
+    auto a = net.create_endpoint("hostA/x");
+    auto b = net.create_endpoint("hostB/y");
+    std::thread::id ran_on;
+    b->set_handler([&](Message&&) { ran_on = std::this_thread::get_id(); });
+    ASSERT_TRUE(net.send("hostA/x", "hostB/y", Bytes{1}));
+    // Delivered before send() returned, on this thread.
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+    (void)a;
+  }
+  {
+    SimNetwork net(fast_config());
+    auto a = net.create_endpoint("hostA/x");
+    auto b = net.create_endpoint("hostB/y");
+    Gate done;
+    std::thread::id ran_on;
+    TimePoint due{};
+    TimePoint ran_at{};
+    b->set_handler([&](Message&& m) {
+      ran_on = std::this_thread::get_id();
+      ran_at = now();
+      due = m.deliver_at;
+      done.set();
+    });
+    ASSERT_TRUE(net.send("hostA/x", "hostB/y", Bytes{1}));
+    ASSERT_TRUE(done.wait_for(ms(2000)));
+    b->close();
+    EXPECT_NE(ran_on, std::this_thread::get_id());
+    EXPECT_GE(ran_at, due);
+    (void)a;
+  }
+}
+
+TEST(PushDelivery, DueMessageDoesNotOvertakeQueuedEarlierOne) {
+  // Remote traffic is delayed, same-host traffic is due at once.
+  NetConfig cfg = zero_latency_config();
+  cfg.base_latency = us(200);
+  SimNetwork net(cfg);
+  auto remote = net.create_endpoint("hostA/x");
+  auto local = net.create_endpoint("hostB/z");
+  auto b = net.create_endpoint("hostB/y");
+  Mutex mu;
+  std::vector<int> order;
+  b->set_handler([&](Message&& m) {
+    MutexLock lk(mu);
+    order.push_back(m.payload.at(0));
+  });
+
+  DeliveryThreadBlocker blocker(net, "hostA/x");
+  ASSERT_TRUE(net.send("hostA/x", "hostB/y", Bytes{1}));  // queued
+  std::this_thread::sleep_for(ms(2));  // now due, still queued
+  ASSERT_TRUE(net.send("hostB/z", "hostB/y", Bytes{2}));  // due at once
+  {
+    MutexLock lk(mu);
+    EXPECT_TRUE(order.empty()) << "the later message overtook the queued one";
+  }
+  blocker.release();
+  for (int i = 0; i < 200; ++i) {
+    {
+      MutexLock lk(mu);
+      if (order.size() == 2) break;
+    }
+    std::this_thread::sleep_for(ms(5));
+  }
+  b->close();
+  MutexLock lk(mu);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  (void)remote;
+  (void)local;
+}
+
+TEST(PushDelivery, CrashedHostHandlerNeverCalled) {
+  NetConfig cfg = zero_latency_config();
+  cfg.base_latency = us(200);
+  SimNetwork net(cfg);
+  auto a = net.create_endpoint("hostA/x");
+  auto b = net.create_endpoint("hostB/y");
+  std::atomic<int> calls{0};
+  b->set_handler([&](Message&&) { calls.fetch_add(1); });
+
+  // Crashed at send time: refused.
+  net.faults().crash_host("hostB");
+  EXPECT_FALSE(net.send("hostA/x", "hostB/y", Bytes{1}));
+  net.faults().recover_host("hostB");
+
+  // In flight across a crash: refused at delivery time, even though the
+  // host recovered before the message came due.
+  {
+    DeliveryThreadBlocker blocker(net, "hostA/x");
+    ASSERT_TRUE(net.send("hostA/x", "hostB/y", Bytes{2}));
+    net.faults().crash_host("hostB");
+    net.faults().recover_host("hostB");
+  }
+  std::this_thread::sleep_for(ms(20));
+  EXPECT_EQ(calls.load(), 0);
+
+  // After recovery, new traffic is delivered again.
+  ASSERT_TRUE(net.send("hostA/x", "hostB/y", Bytes{3}));
+  for (int i = 0; i < 200 && calls.load() == 0; ++i) {
+    std::this_thread::sleep_for(ms(5));
+  }
+  b->close();
+  EXPECT_EQ(calls.load(), 1);
+  (void)a;
+}
+
+TEST(PushDelivery, RemovedEndpointTakesItsPendingDeliveriesWithIt) {
+  NetConfig cfg = zero_latency_config();
+  cfg.base_latency = us(200);
+  SimNetwork net(cfg);
+  auto a = net.create_endpoint("hostA/x");
+  std::atomic<int> old_calls{0};
+  std::atomic<int> new_calls{0};
+  {
+    DeliveryThreadBlocker blocker(net, "hostA/x");
+    auto old_ep = net.create_endpoint("hostB/y");
+    old_ep->set_handler([&](Message&&) { old_calls.fetch_add(1); });
+    ASSERT_TRUE(net.send("hostA/x", "hostB/y", Bytes{1}));  // pending
+    net.remove_endpoint("hostB/y");
+    // Same id, new endpoint: what was pending for the old one is gone.
+    auto new_ep = net.create_endpoint("hostB/y");
+    new_ep->set_handler([&](Message&&) { new_calls.fetch_add(1); });
+  }
+  ASSERT_TRUE(net.send("hostA/x", "hostB/y", Bytes{2}));
+  for (int i = 0; i < 200 && new_calls.load() == 0; ++i) {
+    std::this_thread::sleep_for(ms(5));
+  }
+  std::this_thread::sleep_for(ms(5));
+  net.remove_endpoint("hostB/y");
+  EXPECT_EQ(old_calls.load(), 0);
+  EXPECT_EQ(new_calls.load(), 1);
+  (void)a;
 }
 
 }  // namespace

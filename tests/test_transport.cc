@@ -9,16 +9,25 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/error.h"
 #include "common/metrics.h"
+#include "common/sync.h"
 #include "cqos/request.h"
 #include "net/framing.h"
 #include "net/sim_network.h"
 #include "net/tcp_transport.h"
 #include "net/transport.h"
+#include "platform/corba/agent.h"
+#include "platform/corba/orb.h"
+#include "platform/rmi/registry.h"
+#include "platform/rmi/rmi.h"
 #include "sim/bank_account.h"
 #include "sim/cluster.h"
 
@@ -287,6 +296,31 @@ TEST(TcpTransport, OversizedInboundFrameClosesConnection) {
 }
 
 }  // namespace
+TEST(TcpTransport, HandlerSendsFromTheLoopThreadWithoutDeadlock) {
+  TcpFixture fx;
+  auto srv = fx.t->create_endpoint("hostS/srv");
+  auto cli = fx.t->create_endpoint("hostC/cli");
+  std::thread::id srv_thread;
+  srv->set_handler([&](Message&& m) {
+    srv_thread = std::this_thread::get_id();
+    // An echo from the event-loop thread: send() takes the transport lock,
+    // which the loop released before delivering.
+    fx.t->send("hostS/srv", m.from, std::move(m.payload));
+  });
+  Gate got;
+  Bytes echoed;
+  cli->set_handler([&](Message&& m) {
+    echoed = std::move(m.payload);
+    got.set();
+  });
+  ASSERT_TRUE(fx.t->send("hostC/cli", "hostS/srv", bytes_of("echo me")));
+  ASSERT_TRUE(got.wait_for(ms(2000)));
+  cli->close();
+  srv->close();
+  EXPECT_EQ(echoed, bytes_of("echo me"));
+  EXPECT_NE(srv_thread, std::this_thread::get_id());
+}
+
 }  // namespace cqos::net
 
 // --- QoS compositions on a TCP-backed cluster --------------------------------
@@ -381,6 +415,113 @@ TEST(TcpCluster, SimClusterStillExposesNetworkAndFaults) {
   EXPECT_EQ(cluster.transport().kind(), "sim");
   EXPECT_NO_THROW(cluster.network());
   EXPECT_NO_THROW(cluster.faults());
+}
+
+// --- push delivery: naming services and thread inventory ---------------------
+
+class NullServant : public plat::ServantHandler {
+ public:
+  plat::Reply handle(const std::string&, ValueList, PiggybackMap) override {
+    plat::Reply reply;
+    reply.status = plat::ReplyStatus::kOk;
+    return reply;
+  }
+};
+
+TEST(PushDelivery, NamingServicesTakeConcurrentBindsAndLookups) {
+  // Zero latency: every registry/agent handler runs on its caller's thread,
+  // so the binding tables are reached from several threads at once.
+  net::NetConfig cfg;
+  cfg.base_latency = Duration::zero();
+  cfg.per_byte = Duration::zero();
+  cfg.loopback_latency = Duration::zero();
+  cfg.jitter = 0;
+  net::SimNetwork net(cfg);
+  rmi::Registry registry(net, "nameserver");
+  corba::SmartAgent agent(net, "nameserver");
+
+  constexpr int kThreads = 4;
+  constexpr int kNames = 25;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&net, &failures, t] {
+      rmi::RmiConfig rcfg;
+      rcfg.server_threads = 1;
+      rmi::RmiRuntime rmi(net, "rmihost" + std::to_string(t), rcfg);
+      corba::OrbConfig ocfg;
+      ocfg.server_threads = 1;
+      corba::CorbaOrb orb(net, "orbhost" + std::to_string(t), ocfg);
+      auto servant = std::make_shared<NullServant>();
+      for (int i = 0; i < kNames; ++i) {
+        std::string name = "obj" + std::to_string(t) + "_" + std::to_string(i);
+        try {
+          rmi.register_servant(name, servant, plat::DispatchMode::kStatic);
+          orb.register_servant("poa/" + name, servant,
+                               plat::DispatchMode::kStatic);
+          rmi.resolve(name, ms(500));
+          orb.resolve("poa/" + name, ms(500));
+          if (i % 5 == 0) {
+            rmi.unregister_servant(name);
+            orb.unregister_servant("poa/" + name);
+          }
+        } catch (const std::exception&) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+/// Threads in this process. A thread may stay listed for a moment after
+/// join() returned, so read until the count holds still.
+int thread_count() {
+  auto read = [] {
+    int n = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      ++n;
+    }
+    return n;
+  };
+  int n = read();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(ms(2));
+    int again = read();
+    if (again == n) break;
+    n = again;
+  }
+  return n;
+}
+
+TEST(PushDelivery, PlatformsAndNamingServicesStartNoReceiveThreads) {
+  // A sanitizer runtime may start a helper thread at the first thread
+  // creation; get that done before the first count.
+  std::thread([] {}).join();
+  for (PlatformKind kind :
+       {PlatformKind::kRmi, PlatformKind::kCorba, PlatformKind::kHttp}) {
+    const int before = thread_count();
+    ClusterOptions opts;
+    opts.platform = kind;
+    opts.level = InterceptionLevel::kBaseline;  // no Cactus composites
+    opts.num_replicas = 1;
+    opts.platform_threads = 2;
+    opts.servant_factory = [] {
+      return std::make_shared<BankAccountServant>();
+    };
+    Cluster cluster(opts);
+    auto client = cluster.make_client();
+    BankAccountStub account(client->stub_ptr());
+    account.set_balance(5);
+    EXPECT_EQ(account.get_balance(), 5);
+    // The simulator owns two threads (fault-plan worker, delivery thread);
+    // each platform runtime (replica and client) owns only its dispatch
+    // pool. Runtimes, registry and agent start no receive threads.
+    EXPECT_EQ(thread_count() - before, 2 + 2 * opts.platform_threads)
+        << "platform " << static_cast<int>(kind);
+  }
 }
 
 }  // namespace
