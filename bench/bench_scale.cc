@@ -10,11 +10,8 @@
 // identical event counts and delivery digests (the determinism claim).
 //
 // Real-time rows measure raw send()-path throughput under sender
-// concurrency: `contend-1` (single sender), `contend-4` (4 senders, sharded
-// locks) and `contend-4-serialized` (the NetConfig::serialize_send ablation
-// reproducing the pre-sharding global-mutex convoy). mean_ms is wall
-// milliseconds per send; contend-4 vs contend-4-serialized is the measured
-// win of the lock sharding.
+// concurrency: `contend-1` (single sender) and `contend-4` (4 senders, each
+// to its own destination). mean_ms is wall milliseconds per send.
 //
 // Exported counters (validated by tools/bench_smoke.sh):
 //   scale.clients     modeled clients in the zipf scenario
@@ -83,14 +80,13 @@ sim::ModeledStats run_rolling(std::uint64_t seed) {
 /// Real-time send-path throughput: `senders` threads each blasting
 /// `per_sender` sends at their own destination endpoint. Returns wall ms
 /// per send (best of `reps`).
-double contention_run(int senders, int per_sender, bool serialize, int reps) {
+double contention_run(int senders, int per_sender, int reps) {
   double best = 0;
   for (int rep = 0; rep < reps; ++rep) {
     net::NetConfig cfg;
     cfg.jitter = 0.05;
     cfg.seed = 99;
-    cfg.serialize_send = serialize;
-    // cqos-lint: allow-transport-construction (lock-convoy ablation: simulator-specific knob)
+    // cqos-lint: allow-transport-construction (send-path bench: measures the simulator itself)
     net::SimNetwork net(cfg);
     std::vector<std::shared_ptr<net::Endpoint>> eps;
     for (int s = 0; s < senders; ++s) {
@@ -153,22 +149,11 @@ int run() {
   for (const auto& v : rviol) std::printf("  INVARIANT: %s\n", v.c_str());
 
   // --- real time: send-path contention ------------------------------------
-  // NOTE: on a single-core host the sharded and serialized configurations
-  // cannot differ by much wall clock (threads never truly overlap); the
-  // sharding win scales with cores. The serialized ablation still pays the
-  // global lock's handoff cost, so sharded <= serialized should hold
-  // everywhere.
   const int per_sender = 30000;
-  double c1 = contention_run(1, per_sender, false, 5);
-  double c4 = contention_run(4, per_sender, false, 5);
-  double c4ser = contention_run(4, per_sender, true, 5);
-  double gain_pct = c4 > 0 ? (c4ser / c4 - 1.0) * 100.0 : 0.0;
-  std::printf(
-      "  contention: 1-sender %.6f ms/send, 4-sender sharded %.6f, "
-      "4-sender serialized %.6f (serialized +%.1f%%)\n",
-      c1, c4, c4ser, gain_pct);
-  reg.counter("scale.sharding_gain_pct")
-      .inc(gain_pct > 0 ? static_cast<std::uint64_t>(gain_pct) : 0);
+  double c1 = contention_run(1, per_sender, 5);
+  double c4 = contention_run(4, per_sender, 5);
+  std::printf("  contention: 1-sender %.6f ms/send, 4-sender %.6f\n", c1,
+              c4);
 
   JsonReport report("scale", bench_pairs());
   auto add = [&](const char* label, int servers, double mean_ms,
@@ -191,7 +176,6 @@ int run() {
       r1.events ? r1.wall_ms / static_cast<double>(r1.events) : 0, "virtual");
   add("contend-1", 1, c1, "real");
   add("contend-4", 4, c4, "real");
-  add("contend-4-serialized", 4, c4ser, "real");
   bool wrote = report.write();
 
   // Hard failures: the determinism and 30s-wall acceptance criteria.

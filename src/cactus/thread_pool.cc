@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "common/log.h"
 #include "common/metrics.h"
-#include "common/priority.h"
 
 namespace cqos::cactus {
 
@@ -35,6 +33,7 @@ PriorityThreadPool::PriorityThreadPool(int num_threads,
 
 void PriorityThreadPool::start_workers(int num_threads) {
   if (num_threads < 1) num_threads = 1;
+  slots_ = num_threads;
   workers_.reserve(static_cast<std::size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -80,6 +79,21 @@ SubmitResult PriorityThreadPool::try_submit(int priority,
   return SubmitResult::kAccepted;
 }
 
+bool PriorityThreadPool::enter_inline() {
+  MutexLock lk(mu_);
+  if (shutdown_ || running_ >= slots_ || !queues_empty()) return false;
+  ++running_;
+  return true;
+}
+
+void PriorityThreadPool::leave_inline() {
+  MutexLock lk(mu_);
+  --running_;
+  // A worker that found the queue non-empty while every slot was held is
+  // waiting for this one.
+  if (!queues_empty()) cv_.notify_one();
+}
+
 void PriorityThreadPool::shutdown() {
   {
     MutexLock lk(mu_);
@@ -100,6 +114,12 @@ void PriorityThreadPool::shutdown() {
 void PriorityThreadPool::advance_wrr() {
   wrr_idx_ = (wrr_idx_ + 1) % classes_.size();
   wrr_credit_ = classes_[wrr_idx_].weight;
+}
+
+bool PriorityThreadPool::queues_empty() const {
+  if (classes_.empty()) return queue_.empty();
+  return std::all_of(class_queues_.begin(), class_queues_.end(),
+                     [](const std::deque<Item>& q) { return q.empty(); });
 }
 
 bool PriorityThreadPool::pop_next(Item& out) {
@@ -128,22 +148,23 @@ bool PriorityThreadPool::pop_next(Item& out) {
 }
 
 void PriorityThreadPool::worker_loop() {
+  bool ran = false;
   for (;;) {
     Item item;
     {
       MutexLock lk(mu_);
+      // The finished task's slot is freed in the same lock hold that looks
+      // for the next task.
+      if (ran) --running_;
       for (;;) {
-        if (pop_next(item)) break;
-        if (shutdown_) return;  // shutdown requested and queues drained
+        if (running_ < slots_ && pop_next(item)) break;
+        if (shutdown_ && queues_empty()) return;  // drained
         cv_.wait(mu_);
       }
+      ++running_;
     }
-    PriorityGuard guard(item.priority);
-    try {
-      item.task();
-    } catch (const std::exception& e) {
-      CQOS_LOG_ERROR("unhandled exception in pool task: ", e.what());
-    }
+    ran = true;
+    run_at(item.priority, item.task);
   }
 }
 

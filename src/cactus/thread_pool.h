@@ -30,6 +30,12 @@
 //     several threads race to call it — late callers block until the join
 //     completes rather than returning early;
 //   - shutdown() must not be called from inside a pool task (self-join).
+//
+// Concurrency bound: at most num_threads() tasks run at once, counting both
+// worker runs and try_run_inline() runs on outside threads (the caller-runs
+// path of platform dispatch, DESIGN.md §8). A worker starts a task only
+// while a slot is free, so queued work waits for a finishing task whether a
+// worker or an inline caller held its slot.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +46,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/log.h"
+#include "common/priority.h"
 #include "common/sync.h"
 #include "common/thread_annotations.h"
 
@@ -87,11 +95,30 @@ class PriorityThreadPool {
     return try_submit(priority, std::move(task)) == SubmitResult::kAccepted;
   }
 
+  /// Run `task` on the calling thread, under a PriorityGuard at `priority`,
+  /// if a worker would start it at once: nothing is queued in any class and
+  /// a slot is free. The run holds that slot, so the pool's concurrency
+  /// bound, its priority and class order and max_queue rejection are all
+  /// kept. Returns false, leaving `task` untouched, when the task would have
+  /// waited (or the pool is shutting down); the caller then try_submit()s
+  /// it. When the run finishes and work was queued meanwhile, a worker is
+  /// woken for the freed slot.
+  template <class Task>
+  bool try_run_inline(int priority, Task& task) {
+    if (!enter_inline()) return false;
+    struct Leave {
+      PriorityThreadPool* pool;
+      ~Leave() { pool->leave_inline(); }
+    } leave{this};
+    run_at(priority, task);
+    return true;
+  }
+
   /// Stop accepting tasks, finish everything queued, join workers. Safe to
   /// call concurrently; every caller returns only after the workers exited.
   void shutdown();
 
-  int num_threads() const { return static_cast<int>(workers_.size()); }
+  int num_threads() const { return slots_; }
 
   bool class_mode() const { return !classes_.empty(); }
   /// Configured classes, descending min_priority (empty in legacy mode).
@@ -114,8 +141,24 @@ class PriorityThreadPool {
     }
   };
 
+  /// Run a task at `priority`; an exception is logged, not propagated.
+  template <class Task>
+  static void run_at(int priority, Task& task) {
+    PriorityGuard guard(priority);
+    try {
+      task();
+    } catch (const std::exception& e) {
+      CQOS_LOG_ERROR("unhandled exception in pool task: ", e.what());
+    }
+  }
+
   void start_workers(int num_threads);
   void worker_loop();
+  /// Claim a slot for an inline run (false: the task would wait); the
+  /// matching leave_inline() frees it.
+  bool enter_inline();
+  void leave_inline();
+  bool queues_empty() const CQOS_REQUIRES(mu_);
   bool pop_next(Item& out) CQOS_REQUIRES(mu_);
   void advance_wrr() CQOS_REQUIRES(mu_);
 
@@ -127,9 +170,12 @@ class PriorityThreadPool {
   std::size_t wrr_idx_ CQOS_GUARDED_BY(mu_) = 0;   // class being served
   int wrr_credit_ CQOS_GUARDED_BY(mu_) = 0;        // remaining weight share
   std::uint64_t next_seq_ CQOS_GUARDED_BY(mu_) = 0;
+  /// Tasks running now, on workers and inline; never above slots_.
+  int running_ CQOS_GUARDED_BY(mu_) = 0;
   bool shutdown_ CQOS_GUARDED_BY(mu_) = false;
 
   // Immutable after construction.
+  int slots_ = 0;  // the concurrency bound: the number of workers
   std::vector<TrafficClass> classes_;  // sorted by descending min_priority
   std::vector<metrics::Counter*> enqueued_;  // per class, global registry
   std::vector<metrics::Counter*> rejected_;

@@ -115,8 +115,11 @@ class Gate {
   }
 
   /// Returns false on timeout.
-  bool wait_for(Duration d) {
-    TimePoint deadline = now() + d;
+  bool wait_for(Duration d) { return wait_until(now() + d); }
+
+  /// Returns false once `deadline` has passed unset (at once if it already
+  /// had on entry).
+  bool wait_until(TimePoint deadline) {
     MutexLock lk(mu_);
     while (!set_) {
       if (now() >= deadline) return false;

@@ -154,15 +154,6 @@ Duration SimNetwork::compute_latency(const std::string& from,
 
 bool SimNetwork::send(const std::string& from, const std::string& to,
                       Bytes&& payload) {
-  if (cfg_.serialize_send) {
-    MutexLock lk(serial_mu_);
-    return send_impl(from, to, std::move(payload));
-  }
-  return send_impl(from, to, std::move(payload));
-}
-
-bool SimNetwork::send_impl(const std::string& from, const std::string& to,
-                           Bytes&& payload) {
   std::string from_host = host_of(from);
   std::string to_host = host_of(to);
 

@@ -256,9 +256,6 @@ class SimNetwork : public Transport {
     }
   };
 
-  bool send_impl(const std::string& from, const std::string& to,
-                 Bytes&& payload);
-
   /// Crash/recover application: mark the host's endpoints (the fault state
   /// itself lives in the controller). Called by FaultController with no
   /// controller lock held.
@@ -345,8 +342,6 @@ class SimNetwork : public Transport {
   std::array<ClampShard, kShards> clamp_shards_;
   std::array<JitterShard, kShards> jitter_shards_;
   std::array<PairShard, kShards> pair_shards_;
-  /// serialize_send ablation: one global lock around the whole send body.
-  Mutex serial_mu_;
   Mutex tap_mu_;
   Tap tap_ CQOS_GUARDED_BY(tap_mu_);
   std::atomic<bool> has_tap_{false};

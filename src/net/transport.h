@@ -79,10 +79,12 @@ class Endpoint {
   /// Handler contract. The handler runs on the delivering thread with no
   /// transport lock held, possibly concurrently with itself (messages from
   /// different senders). It must not block: decode, then hand off (a pool
-  /// submit, a pending-call completion, a reply send). It may take only leaf
-  /// locks and may call Transport::send() — on the simulator that can run
-  /// one more handler inline (e.g. a reply completing a pending call). It
-  /// must never close its own endpoint (close() would wait for itself).
+  /// submit, a pending-call completion, a reply send). The one exception is
+  /// a platform dispatch run on its own waiting caller's thread
+  /// (plat::dispatch_request, DESIGN.md §8). It may take only leaf locks and
+  /// may call Transport::send() — on the simulator that can run one more
+  /// handler inline (e.g. a reply completing a pending call). It must never
+  /// close its own endpoint (close() would wait for itself).
   /// Installed once, before traffic arrives; every message delivered while
   /// a handler is set goes to it, in both of the simulator's time modes.
   using Handler = std::function<void(Message&&)>;
@@ -210,11 +212,6 @@ struct NetConfig {
   /// mode is single-driver oriented: one thread sends and runs the event
   /// loop.
   TimeMode time_mode = TimeMode::kReal;
-  /// Ablation/bench knob: funnel every real-time send through one global
-  /// mutex, reproducing the pre-sharding lock convoy so the contention
-  /// bench can measure what the sharding buys. Never set in production
-  /// paths.
-  bool serialize_send = false;
 };
 
 /// Structured name for what NetConfig is under TransportConfig: the

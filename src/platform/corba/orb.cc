@@ -31,15 +31,12 @@ plat::Reply CorbaRequest::invoke(Duration timeout) {
   // DII: the request object is converted into the marshaled form — the
   // second conversion the paper identifies (abstract → DII → GIOP).
   orb_.emu_charge(orb_.cfg_.emu_marshal_cost + orb_.cfg_.emu_dii_cost);
-  std::uint64_t id = orb_.next_request_id_.fetch_add(1);
   RequestBody body;
-  body.reply_to = orb_.client_ep_->id();
-  body.object_key = target_.object_key;
   body.operation = operation_;
   body.service_context = service_context_;
   body.params.reserve(nvlist_.size());
   for (const auto& nv : nvlist_) body.params.push_back(nv.value);
-  return orb_.transact(target_, encode_request(id, body), id, timeout);
+  return orb_.transact(target_, body, timeout);
 }
 
 // --- CorbaObjectRef -----------------------------------------------------------
@@ -119,80 +116,52 @@ std::string CorbaOrb::direct_name(const std::string& object_id) const {
   return object_id + "_poa/" + object_id;
 }
 
-plat::Reply CorbaOrb::transact(const Ior& target, Bytes frame,
-                               std::uint64_t request_id, Duration timeout) {
-  auto [id, entry] = pending_.open();
-  // Re-stamp the frame with the pending-table id (callers allocate a GIOP
-  // request id before the pending entry exists). The id lives at offset 16:
-  // 12-byte header + 4 alignment pad.
-  (void)request_id;
-  for (std::size_t i = 0; i < 8; ++i) {
-    frame[16 + i] = static_cast<std::uint8_t>(id >> (8 * i));
-  }
-  if (!network_.send(client_ep_->id(), target.endpoint, std::move(frame))) {
-    pending_.abandon(id);
-    plat::Reply reply;
-    reply.status = plat::ReplyStatus::kUnreachable;
-    reply.error = "send failed";
-    return reply;
-  }
-  if (!entry->gate.wait_for(timeout)) {
-    pending_.abandon(id);
-    plat::Reply reply;
-    reply.status = plat::ReplyStatus::kUnreachable;
-    reply.error = "timeout";
-    return reply;
-  }
-  return entry->reply;
+plat::Reply CorbaOrb::transact(const Ior& target, RequestBody& body,
+                               Duration timeout) {
+  body.reply_to = client_ep_->id();
+  body.object_key = target.object_key;
+  return pending_.call(timeout, [&](std::uint64_t id) {
+    return network_.send(client_ep_->id(), target.endpoint,
+                         encode_request(id, body));
+  });
 }
 
 plat::Reply CorbaOrb::call_static(const Ior& target, const std::string& method,
                                   const ValueList& params,
                                   const PiggybackMap& pb, Duration timeout) {
   emu_charge(cfg_.emu_marshal_cost);
-  std::uint64_t id = next_request_id_.fetch_add(1);
   RequestBody body;
-  body.reply_to = client_ep_->id();
-  body.object_key = target.object_key;
   body.operation = method;
   body.service_context = pb;
-  body.params = params;  // single marshal pass below
-  return transact(target, encode_request(id, body), id, timeout);
+  body.params = params;  // single marshal pass in transact()
+  return transact(target, body, timeout);
 }
 
 bool CorbaOrb::ping_target(const Ior& target, Duration timeout) {
-  auto [id, entry] = pending_.open();
-  ByteWriter w(48);
-  begin_frame(w, MsgType::kPing, id);
-  encode_cdr_string(w, client_ep_->id());
-  finish_frame(w);
-  if (!network_.send(client_ep_->id(), target.endpoint, std::move(w).take())) {
-    pending_.abandon(id);
-    return false;
-  }
-  if (!entry->gate.wait_for(timeout)) {
-    pending_.abandon(id);
-    return false;
-  }
-  return entry->reply.ok();
+  return pending_.call(timeout, [&](std::uint64_t id) {
+    ByteWriter w(48);
+    begin_frame(w, MsgType::kPing, id);
+    encode_cdr_string(w, client_ep_->id());
+    finish_frame(w);
+    return network_.send(client_ep_->id(), target.endpoint,
+                         std::move(w).take());
+  }).ok();
 }
 
 Ior CorbaOrb::agent_lookup(const std::string& poa_name,
                            const std::string& object_id, Duration timeout) {
-  auto [id, entry] = pending_.open();
-  Bytes frame = encode_agent_lookup(id, client_ep_->id(), poa_name, object_id);
-  if (!network_.send(client_ep_->id(), agent_endpoint_, std::move(frame))) {
-    pending_.abandon(id);
-    throw TimeoutError("smart agent unreachable");
+  plat::Reply reply = pending_.call(timeout, [&](std::uint64_t id) {
+    return network_.send(
+        client_ep_->id(), agent_endpoint_,
+        encode_agent_lookup(id, client_ep_->id(), poa_name, object_id));
+  });
+  if (reply.status == plat::ReplyStatus::kUnreachable) {
+    throw TimeoutError("smart agent lookup failed: " + reply.error);
   }
-  if (!entry->gate.wait_for(timeout)) {
-    pending_.abandon(id);
-    throw TimeoutError("smart agent lookup timed out");
-  }
-  if (!entry->reply.ok()) {
+  if (!reply.ok()) {
     throw NameNotFound(poa_name + "/" + object_id);
   }
-  const ValueList& fields = entry->reply.result.as_list();
+  const ValueList& fields = reply.result.as_list();
   Ior ior;
   ior.endpoint = fields.at(0).as_string();
   ior.object_key = fields.at(1).as_string();
@@ -202,20 +171,14 @@ Ior CorbaOrb::agent_lookup(const std::string& poa_name,
 bool CorbaOrb::agent_register(const std::string& poa_name,
                               const std::string& object_id, const Ior& ior,
                               bool unregister, Duration timeout) {
-  auto [id, entry] = pending_.open();
-  Bytes frame =
-      unregister
-          ? encode_agent_unregister(id, client_ep_->id(), poa_name, object_id)
-          : encode_agent_register(id, client_ep_->id(), poa_name, object_id,
-                                  ior);
-  if (!network_.send(client_ep_->id(), agent_endpoint_, std::move(frame))) {
-    return false;
-  }
-  if (!entry->gate.wait_for(timeout)) {
-    pending_.abandon(id);
-    return false;
-  }
-  return entry->reply.ok();
+  return pending_.call(timeout, [&](std::uint64_t id) {
+    Bytes frame =
+        unregister
+            ? encode_agent_unregister(id, client_ep_->id(), poa_name, object_id)
+            : encode_agent_register(id, client_ep_->id(), poa_name, object_id,
+                                    ior);
+    return network_.send(client_ep_->id(), agent_endpoint_, std::move(frame));
+  }).ok();
 }
 
 std::shared_ptr<plat::ObjectRef> CorbaOrb::resolve(const std::string& name,
@@ -325,8 +288,8 @@ void CorbaOrb::on_server_message(net::Message&& msg) {
     int prio = plat::piggyback_priority(body.service_context,
                                         kNormalPriority);
     std::string reply_to = body.reply_to;
-    auto res = workers_.try_submit(
-        prio, [this, id, body = std::move(body)]() mutable {
+    auto res = plat::dispatch_request(
+        workers_, prio, [this, id, body = std::move(body)]() mutable {
           dispatch_request(id, std::move(body));
         });
     if (res == cactus::SubmitResult::kRejected) {

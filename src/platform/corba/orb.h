@@ -135,9 +135,9 @@ class CorbaOrb : public plat::Platform {
     plat::DispatchMode mode;
   };
 
-  /// Send a fully framed request and block for the correlated reply.
-  plat::Reply transact(const Ior& target, Bytes frame, std::uint64_t request_id,
-                       Duration timeout);
+  /// Address `body` to `target`, marshal it under its pending-call id, send
+  /// it and block for the correlated reply.
+  plat::Reply transact(const Ior& target, RequestBody& body, Duration timeout);
   plat::Reply call_static(const Ior& target, const std::string& method,
                           const ValueList& params, const PiggybackMap& pb,
                           Duration timeout);
@@ -148,7 +148,7 @@ class CorbaOrb : public plat::Platform {
                       const Ior& ior, bool unregister, Duration timeout);
 
   // Endpoint handlers (net::Endpoint::Handler contract): decode, then
-  // complete a pending call, submit to the worker pool or send a reply.
+  // complete a pending call, plat::dispatch_request() or send a reply.
   void on_client_message(net::Message&& msg);
   void on_server_message(net::Message&& msg);
   void dispatch_request(std::uint64_t request_id, RequestBody body);
@@ -161,7 +161,6 @@ class CorbaOrb : public plat::Platform {
   std::shared_ptr<net::Endpoint> client_ep_;
   std::shared_ptr<net::Endpoint> server_ep_;
   plat::PendingCalls pending_;
-  std::atomic<std::uint64_t> next_request_id_{1};
 
   Mutex servants_mu_;
   std::map<std::string, Registration> servants_

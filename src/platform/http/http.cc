@@ -311,38 +311,18 @@ plat::Reply HttpPlatform::call(const std::string& endpoint,
                                const std::string& method,
                                const ValueList& params, const PiggybackMap& pb,
                                Duration timeout) {
-  auto [id, entry] = pending_.open();
-  Bytes frame =
-      wire::encode_request(id, client_ep_->id(), path, method, pb, params);
-  if (!network_.send(client_ep_->id(), endpoint, std::move(frame))) {
-    pending_.abandon(id);
-    plat::Reply reply;
-    reply.status = plat::ReplyStatus::kUnreachable;
-    reply.error = "send failed";
-    return reply;
-  }
-  if (!entry->gate.wait_for(timeout)) {
-    pending_.abandon(id);
-    plat::Reply reply;
-    reply.status = plat::ReplyStatus::kUnreachable;
-    reply.error = "timeout";
-    return reply;
-  }
-  return entry->reply;
+  return pending_.call(timeout, [&](std::uint64_t id) {
+    return network_.send(
+        client_ep_->id(), endpoint,
+        wire::encode_request(id, client_ep_->id(), path, method, pb, params));
+  });
 }
 
 bool HttpPlatform::ping_endpoint(const std::string& endpoint, Duration timeout) {
-  auto [id, entry] = pending_.open();
-  if (!network_.send(client_ep_->id(), endpoint,
-                     wire::encode_ping(id, client_ep_->id()))) {
-    pending_.abandon(id);
-    return false;
-  }
-  if (!entry->gate.wait_for(timeout)) {
-    pending_.abandon(id);
-    return false;
-  }
-  return entry->reply.ok();
+  return pending_.call(timeout, [&](std::uint64_t id) {
+    return network_.send(client_ep_->id(), endpoint,
+                         wire::encode_ping(id, client_ep_->id()));
+  }).ok();
 }
 
 void HttpPlatform::on_client_message(net::Message&& msg) {
@@ -389,8 +369,8 @@ void HttpPlatform::on_server_message(net::Message&& msg) {
     int prio = plat::piggyback_priority(parsed.piggyback, kNormalPriority);
     std::uint64_t call_id = parsed.call_id;
     std::string reply_to = parsed.reply_to;
-    auto res = workers_.try_submit(
-        prio, [this, parsed = std::move(parsed)]() mutable {
+    auto res = plat::dispatch_request(
+        workers_, prio, [this, parsed = std::move(parsed)]() mutable {
           dispatch(parsed.call_id, parsed.reply_to, parsed.path,
                    parsed.method, std::move(parsed.piggyback),
                    std::move(parsed.params));

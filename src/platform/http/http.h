@@ -122,7 +122,7 @@ class HttpPlatform : public plat::Platform {
   bool ping_endpoint(const std::string& endpoint, Duration timeout);
 
   // Endpoint handlers (net::Endpoint::Handler contract): decode, then
-  // complete a pending call, submit to the worker pool or send a reply.
+  // complete a pending call, plat::dispatch_request() or send a reply.
   void on_client_message(net::Message&& msg);
   void on_server_message(net::Message&& msg);
   void dispatch(std::uint64_t call_id, const std::string& reply_to,

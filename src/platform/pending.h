@@ -1,4 +1,11 @@
-// Request/reply correlation table shared by both platform client runtimes.
+// Request/reply correlation for the three platform runtimes, and the one
+// place that decides where a request runs (caller-runs dispatch, DESIGN.md
+// §8): PendingCalls::call() marks its thread as a waiting caller around its
+// send, and a server handler reached by that send on the same thread runs
+// the dispatch right there (dispatch_request) instead of handing it to a
+// worker while the caller parks. That inline dispatch is the one endpoint
+// handler that blocks; threads without the mark (the TCP loop thread, the
+// simulator's delivery thread) always hand off to the pool.
 #pragma once
 
 #include <cstdint>
@@ -7,27 +14,48 @@
 #include <string>
 #include <utility>
 
+#include "cactus/thread_pool.h"
+#include "common/clock.h"
+#include "common/metrics.h"
 #include "common/sync.h"
 #include "common/thread_annotations.h"
 #include "platform/api.h"
 
 namespace cqos::plat {
 
+namespace detail {
+/// Set while PendingCalls::call() sends: this thread blocks for the reply
+/// next.
+inline thread_local bool t_waiting_caller = false;
+}  // namespace detail
+
 /// Tracks in-flight client calls keyed by request id. The client endpoint's
-/// handler completes entries; callers block on the entry's gate.
+/// handler completes entries; call() blocks on the entry's gate.
 class PendingCalls {
  public:
-  struct Entry {
-    Gate gate;
-    Reply reply;
-  };
-
-  std::pair<std::uint64_t, std::shared_ptr<Entry>> open() {
-    MutexLock lk(mu_);
-    std::uint64_t id = next_id_++;
-    auto entry = std::make_shared<Entry>();
-    calls_.emplace(id, entry);
-    return {id, entry};
+  /// One blocking request: open an entry, `send(id)` the request carrying
+  /// that id (false: the transport refused it), wait for the reply, and drop
+  /// the entry on every failure so a late reply is ignored. Failures are
+  /// kUnreachable with error "send failed", "timeout" or the fail_all()
+  /// reason. The deadline is fixed before the send; a request dispatched
+  /// inline returns from the send only after its servant, so the call then
+  /// returns the reply if one arrived, else a timeout at the later of the
+  /// servant's end and the deadline.
+  template <class Send>
+  Reply call(Duration timeout, Send&& send) {
+    TimePoint deadline = now() + timeout;
+    auto [id, entry] = open();
+    bool sent;
+    {
+      struct Mark {
+        bool outer = std::exchange(detail::t_waiting_caller, true);
+        ~Mark() { detail::t_waiting_caller = outer; }
+      } mark;
+      sent = send(id);
+    }
+    if (!sent) return fail(id, "send failed");
+    if (!entry->gate.wait_until(deadline)) return fail(id, "timeout");
+    return std::move(entry->reply);
   }
 
   /// Complete a call; returns false if the id is unknown (late reply).
@@ -45,12 +73,6 @@ class PendingCalls {
     return true;
   }
 
-  /// Drop an entry after a timeout so a late reply is ignored.
-  void abandon(std::uint64_t id) {
-    MutexLock lk(mu_);
-    calls_.erase(id);
-  }
-
   /// Fail every in-flight call (used at shutdown).
   void fail_all(const std::string& reason) {
     std::map<std::uint64_t, std::shared_ptr<Entry>> taken;
@@ -65,10 +87,63 @@ class PendingCalls {
     }
   }
 
+  /// Entries open right now.
+  std::size_t in_flight() const {
+    MutexLock lk(mu_);
+    return calls_.size();
+  }
+
  private:
-  Mutex mu_;
+  struct Entry {
+    Gate gate;
+    Reply reply;
+  };
+
+  std::pair<std::uint64_t, std::shared_ptr<Entry>> open() {
+    MutexLock lk(mu_);
+    std::uint64_t id = next_id_++;
+    auto entry = std::make_shared<Entry>();
+    calls_.emplace(id, entry);
+    return {id, entry};
+  }
+
+  Reply fail(std::uint64_t id, const char* error) {
+    {
+      MutexLock lk(mu_);
+      calls_.erase(id);
+    }
+    Reply reply;
+    reply.status = ReplyStatus::kUnreachable;
+    reply.error = error;
+    return reply;
+  }
+
+  mutable Mutex mu_;
   std::map<std::uint64_t, std::shared_ptr<Entry>> calls_ CQOS_GUARDED_BY(mu_);
   std::uint64_t next_id_ CQOS_GUARDED_BY(mu_) = 1;
 };
+
+/// Server-handler side: run `task` (the dispatch of one decoded request) on
+/// this thread if it is the request's own waiting caller and `pool` has a
+/// free slot with nothing queued; otherwise try_submit it to `pool`. Counts
+/// plat.dispatch.inline / plat.dispatch.pooled. Returns the pool's verdict
+/// (kAccepted for an inline run).
+template <class Task>
+cactus::SubmitResult dispatch_request(cactus::PriorityThreadPool& pool,
+                                      int priority, Task&& task) {
+  static metrics::Counter& inline_runs =
+      metrics::Registry::global().counter("plat.dispatch.inline");
+  static metrics::Counter& pooled =
+      metrics::Registry::global().counter("plat.dispatch.pooled");
+  if (std::exchange(detail::t_waiting_caller, false) &&
+      pool.try_run_inline(priority, task)) {
+    inline_runs.inc();
+    return cactus::SubmitResult::kAccepted;
+  }
+  cactus::SubmitResult res =
+      pool.try_submit(priority, std::forward<Task>(task));
+  if (res == cactus::SubmitResult::kAccepted) pooled.inc();
+  return res;
+}
 
 }  // namespace cqos::plat

@@ -71,65 +71,40 @@ plat::Reply RmiRuntime::call(const std::string& endpoint,
                              const ValueList& params, const PiggybackMap& pb,
                              Duration timeout) {
   emu_charge(cfg_.emu_call_cost);
-  auto [id, entry] = pending_.open();
   CallBody body;
   body.reply_to = client_ep_->id();
   body.target = target;
   body.method = method;
   body.piggyback = pb;
   body.params = params;
-  if (!network_.send(client_ep_->id(), endpoint, encode_call(id, body))) {
-    pending_.abandon(id);
-    plat::Reply reply;
-    reply.status = plat::ReplyStatus::kUnreachable;
-    reply.error = "send failed";
-    return reply;
-  }
-  if (!entry->gate.wait_for(timeout)) {
-    pending_.abandon(id);
-    plat::Reply reply;
-    reply.status = plat::ReplyStatus::kUnreachable;
-    reply.error = "timeout";
-    return reply;
-  }
-  return entry->reply;
+  return pending_.call(timeout, [&](std::uint64_t id) {
+    return network_.send(client_ep_->id(), endpoint, encode_call(id, body));
+  });
 }
 
 bool RmiRuntime::ping_endpoint(const std::string& endpoint, Duration timeout) {
-  auto [id, entry] = pending_.open();
-  ByteWriter w(48);
-  begin_message(w, MsgType::kPing, id);
-  w.put_string(client_ep_->id());
-  if (!network_.send(client_ep_->id(), endpoint, std::move(w).take())) {
-    pending_.abandon(id);
-    return false;
-  }
-  if (!entry->gate.wait_for(timeout)) {
-    pending_.abandon(id);
-    return false;
-  }
-  return entry->reply.ok();
+  return pending_.call(timeout, [&](std::uint64_t id) {
+    ByteWriter w(48);
+    begin_message(w, MsgType::kPing, id);
+    w.put_string(client_ep_->id());
+    return network_.send(client_ep_->id(), endpoint, std::move(w).take());
+  }).ok();
 }
 
 bool RmiRuntime::registry_op(MsgType type, const std::string& name,
                              const std::string& target, Duration timeout,
                              std::string* resolved) {
-  auto [id, entry] = pending_.open();
-  ByteWriter w(96);
-  begin_message(w, type, id);
-  w.put_string(client_ep_->id());
-  w.put_string(name);
-  if (type == MsgType::kRegBind) w.put_string(target);
-  if (!network_.send(client_ep_->id(), registry_endpoint_, std::move(w).take())) {
-    pending_.abandon(id);
-    return false;
-  }
-  if (!entry->gate.wait_for(timeout)) {
-    pending_.abandon(id);
-    return false;
-  }
-  if (!entry->reply.ok()) return false;
-  if (resolved != nullptr) *resolved = entry->reply.result.as_string();
+  plat::Reply reply = pending_.call(timeout, [&](std::uint64_t id) {
+    ByteWriter w(96);
+    begin_message(w, type, id);
+    w.put_string(client_ep_->id());
+    w.put_string(name);
+    if (type == MsgType::kRegBind) w.put_string(target);
+    return network_.send(client_ep_->id(), registry_endpoint_,
+                         std::move(w).take());
+  });
+  if (!reply.ok()) return false;
+  if (resolved != nullptr) *resolved = reply.result.as_string();
   return true;
 }
 
@@ -231,8 +206,8 @@ void RmiRuntime::on_server_message(net::Message&& msg) {
     // single-queue mode).
     int prio = plat::piggyback_priority(body.piggyback, kNormalPriority);
     std::string reply_to = body.reply_to;
-    auto res = workers_.try_submit(
-        prio, [this, id, body = std::move(body)]() mutable {
+    auto res = plat::dispatch_request(
+        workers_, prio, [this, id, body = std::move(body)]() mutable {
           dispatch_call(id, std::move(body));
         });
     if (res == cactus::SubmitResult::kRejected) {

@@ -102,7 +102,7 @@ class RmiRuntime : public plat::Platform {
                    std::string* resolved);
 
   // Endpoint handlers (net::Endpoint::Handler contract): decode, then
-  // complete a pending call, submit to the worker pool or send a reply.
+  // complete a pending call, plat::dispatch_request() or send a reply.
   void on_client_message(net::Message&& msg);
   void on_server_message(net::Message&& msg);
   void dispatch_call(std::uint64_t call_id, CallBody body);

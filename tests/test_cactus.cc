@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "cactus/composite.h"
@@ -314,10 +316,96 @@ TEST(PriorityPool, FifoWithinPriority) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
+TEST(PriorityPool, InlineAndPooledRunsShareTheConcurrencyBound) {
+  constexpr int kSlots = 3;
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 300;
+  PriorityThreadPool pool(kSlots, "inline-bound");
+  std::atomic<int> active{0};
+  std::atomic<int> peak{0};
+  std::atomic<int> ran{0};
+  std::atomic<int> inline_runs{0};
+  auto task = [&] {
+    int now_active = active.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now_active > seen && !peak.compare_exchange_weak(seen, now_active)) {
+    }
+    std::this_thread::yield();
+    active.fetch_sub(1);
+    ran.fetch_add(1);
+  };
+  // Half the threads submit; the other half run every task inline,
+  // retrying while the pool refuses (a busy slot set or a queue). Once the
+  // submitters stop, the queue drains and every inline attempt can succeed.
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        int prio = 1 + (t + i) % 9;
+        if (t % 2 == 0) {
+          while (!pool.try_run_inline(prio, task)) std::this_thread::yield();
+          inline_runs.fetch_add(1);
+        } else {
+          ASSERT_TRUE(pool.submit(prio, task));
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  pool.shutdown();
+  EXPECT_EQ(ran.load(), kThreads * kPerThread);
+  EXPECT_EQ(inline_runs.load(), kThreads / 2 * kPerThread);
+  EXPECT_LE(peak.load(), kSlots);
+}
+
+TEST(PriorityPool, InlineRunHoldsItsSlotAndQueuedWorkKeepsPriorityOrder) {
+  PriorityThreadPool pool(1, "inline-order");
+  Gate entered, release;
+  std::thread holder([&] {
+    auto hold = [&] {
+      EXPECT_EQ(current_thread_priority(), 7);
+      entered.set();
+      release.wait();
+    };
+    EXPECT_TRUE(pool.try_run_inline(7, hold));
+  });
+  ASSERT_TRUE(entered.wait_for(ms(10000)));
+  // The only slot is held inline: another inline run is refused, and
+  // submitted work waits for the slot instead of starting on the worker.
+  bool ran_inline = false;
+  auto never = [&] { ran_inline = true; };
+  EXPECT_FALSE(pool.try_run_inline(kNormalPriority, never));
+  EXPECT_FALSE(ran_inline);
+  std::vector<int> order;
+  std::mutex mu;
+  CountdownLatch latch(3);
+  for (int prio : {3, 9, 5}) {
+    pool.submit(prio, [&, prio] {
+      std::scoped_lock lk(mu);
+      order.push_back(prio);
+      latch.count_down();
+    });
+  }
+  std::this_thread::sleep_for(ms(20));
+  {
+    std::scoped_lock lk(mu);
+    EXPECT_TRUE(order.empty());
+  }
+  // Finishing the inline run hands the freed slot to the worker.
+  release.set();
+  holder.join();
+  ASSERT_TRUE(latch.wait_for(ms(10000)));
+  EXPECT_EQ(order, (std::vector<int>{9, 5, 3}));
+}
+
 TEST(PriorityPool, SubmitAfterShutdownRejected) {
   PriorityThreadPool pool(2);
   pool.shutdown();
   EXPECT_FALSE(pool.submit(5, [] {}));
+  bool ran = false;
+  auto task = [&] { ran = true; };
+  EXPECT_FALSE(pool.try_run_inline(5, task));
+  EXPECT_FALSE(ran);
 }
 
 TEST(Timer, ScheduleAndCancel) {

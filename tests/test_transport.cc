@@ -1,7 +1,8 @@
 // Transport seam + TCP transport tests: framing (partial reads, oversized
 // frames), the make_transport factory, raw TCP loopback delivery, learned
-// return routes, backpressure, and the existing QoS compositions running
-// unchanged on a TCP-backed Cluster.
+// return routes, backpressure, the existing QoS compositions running
+// unchanged on a TCP-backed Cluster, and where platform dispatch runs a
+// request (on its waiting caller's thread or on a pool worker).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -12,6 +13,7 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,12 +22,15 @@
 #include "common/metrics.h"
 #include "common/sync.h"
 #include "cqos/request.h"
+#include "net/fault.h"
 #include "net/framing.h"
 #include "net/sim_network.h"
 #include "net/tcp_transport.h"
 #include "net/transport.h"
 #include "platform/corba/agent.h"
 #include "platform/corba/orb.h"
+#include "platform/http/http.h"
+#include "platform/pending.h"
 #include "platform/rmi/registry.h"
 #include "platform/rmi/rmi.h"
 #include "sim/bank_account.h"
@@ -521,6 +526,314 @@ TEST(PushDelivery, PlatformsAndNamingServicesStartNoReceiveThreads) {
     // pool. Runtimes, registry and agent start no receive threads.
     EXPECT_EQ(thread_count() - before, 2 + 2 * opts.platform_threads)
         << "platform " << static_cast<int>(kind);
+  }
+}
+
+// --- caller-runs dispatch ------------------------------------------------------
+
+TEST(PendingCalls, EveryOutcomeLeavesTheTableEmpty) {
+  plat::PendingCalls pending;
+  plat::Reply ok;
+  ok.status = plat::ReplyStatus::kOk;
+  ok.result = Value(std::int64_t{7});
+
+  plat::Reply r = pending.call(ms(500), [&](std::uint64_t) {
+    EXPECT_TRUE(plat::detail::t_waiting_caller);
+    return false;
+  });
+  EXPECT_EQ(r.status, plat::ReplyStatus::kUnreachable);
+  EXPECT_EQ(r.error, "send failed");
+  EXPECT_EQ(pending.in_flight(), 0u);
+
+  std::uint64_t timed_out = 0;
+  r = pending.call(ms(10), [&](std::uint64_t id) {
+    EXPECT_EQ(pending.in_flight(), 1u);
+    timed_out = id;
+    return true;
+  });
+  EXPECT_EQ(r.error, "timeout");
+  EXPECT_EQ(pending.in_flight(), 0u);
+  EXPECT_FALSE(pending.complete(timed_out, ok));  // late reply: ignored
+
+  // Completed during the send, as an inline dispatch does.
+  r = pending.call(ms(500), [&](std::uint64_t id) {
+    return pending.complete(id, ok);
+  });
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.result.as_i64(), 7);
+  EXPECT_EQ(pending.in_flight(), 0u);
+
+  // Completed by another thread while the caller waits.
+  std::thread completer;
+  r = pending.call(ms(2000), [&](std::uint64_t id) {
+    completer = std::thread([&pending, &ok, id] {
+      std::this_thread::sleep_for(ms(5));
+      pending.complete(id, ok);
+    });
+    return true;
+  });
+  completer.join();
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(pending.in_flight(), 0u);
+  EXPECT_FALSE(plat::detail::t_waiting_caller);
+}
+
+net::NetConfig zero_latency() {
+  net::NetConfig cfg;
+  cfg.base_latency = Duration::zero();
+  cfg.per_byte = Duration::zero();
+  cfg.loopback_latency = Duration::zero();
+  cfg.jitter = 0;
+  return cfg;
+}
+
+/// Records the thread each call runs on, then runs `body` (if set).
+class ThreadProbeServant : public plat::ServantHandler {
+ public:
+  explicit ThreadProbeServant(std::function<plat::Reply()> body = {})
+      : body_(std::move(body)) {}
+
+  plat::Reply handle(const std::string&, ValueList, PiggybackMap) override {
+    {
+      std::scoped_lock lk(mu_);
+      threads_.push_back(std::this_thread::get_id());
+    }
+    if (body_) return body_();
+    plat::Reply reply;
+    reply.status = plat::ReplyStatus::kOk;
+    return reply;
+  }
+
+  std::vector<std::thread::id> threads() const {
+    std::scoped_lock lk(mu_);
+    return threads_;
+  }
+
+ private:
+  std::function<plat::Reply()> body_;
+  mutable std::mutex mu_;
+  std::vector<std::thread::id> threads_;
+};
+
+std::unique_ptr<plat::Platform> make_runtime(PlatformKind kind,
+                                             net::Transport& net,
+                                             const std::string& host,
+                                             int server_threads) {
+  switch (kind) {
+    case PlatformKind::kRmi: {
+      rmi::RmiConfig cfg;
+      cfg.server_threads = server_threads;
+      return std::make_unique<rmi::RmiRuntime>(net, host, cfg);
+    }
+    case PlatformKind::kCorba: {
+      corba::OrbConfig cfg;
+      cfg.server_threads = server_threads;
+      return std::make_unique<corba::CorbaOrb>(net, host, cfg);
+    }
+    case PlatformKind::kHttp: {
+      http::HttpConfig cfg;
+      cfg.server_threads = server_threads;
+      return std::make_unique<http::HttpPlatform>(net, host, cfg);
+    }
+  }
+  return nullptr;
+}
+
+const char* kind_name(PlatformKind kind) {
+  switch (kind) {
+    case PlatformKind::kRmi:
+      return "rmi";
+    case PlatformKind::kCorba:
+      return "corba";
+    case PlatformKind::kHttp:
+      return "http";
+  }
+  return "?";
+}
+
+/// Register `servant` as object `obj` on `server` and resolve it from
+/// `client`.
+std::shared_ptr<plat::ObjectRef> publish(
+    PlatformKind kind, plat::Platform& server, const std::string& server_host,
+    plat::Platform& client, const std::string& obj,
+    std::shared_ptr<plat::ServantHandler> servant) {
+  std::string registered = kind == PlatformKind::kCorba ? "poa/" + obj : obj;
+  server.register_servant(registered, std::move(servant),
+                          plat::DispatchMode::kStatic);
+  std::string resolved = kind == PlatformKind::kHttp
+                             ? "http://" + server_host + "/" + obj
+                             : registered;
+  return client.resolve(resolved, ms(5000));
+}
+
+/// One network with both naming services, and a server and a client
+/// runtime of one platform kind.
+struct DispatchFixture {
+  net::SimNetwork net;
+  rmi::Registry registry;
+  corba::SmartAgent agent;
+  std::unique_ptr<plat::Platform> server;
+  std::unique_ptr<plat::Platform> client;
+
+  DispatchFixture(PlatformKind kind, net::NetConfig cfg, int server_threads)
+      : net(cfg),
+        registry(net, "nameserver"),
+        agent(net, "nameserver"),
+        server(make_runtime(kind, net, "srv", server_threads)),
+        client(make_runtime(kind, net, "cli", 2)) {}
+};
+
+constexpr PlatformKind kAllPlatforms[] = {
+    PlatformKind::kRmi, PlatformKind::kCorba, PlatformKind::kHttp};
+
+std::uint64_t dispatch_count(const char* which) {
+  return metrics::Registry::global()
+      .counter(std::string("plat.dispatch.") + which)
+      .value();
+}
+
+TEST(CallerRunsDispatch, ZeroLatencyCallRunsTheServantOnTheCallersThread) {
+  for (PlatformKind kind : kAllPlatforms) {
+    DispatchFixture fx(kind, zero_latency(), 2);
+    auto servant = std::make_shared<ThreadProbeServant>();
+    auto ref = publish(kind, *fx.server, "srv", *fx.client, "obj", servant);
+    std::uint64_t inline_before = dispatch_count("inline");
+    std::uint64_t pooled_before = dispatch_count("pooled");
+    EXPECT_TRUE(ref->invoke("m", {}, {}, ms(2000)).ok()) << kind_name(kind);
+    EXPECT_EQ(servant->threads(),
+              std::vector<std::thread::id>{std::this_thread::get_id()})
+        << kind_name(kind);
+    EXPECT_EQ(dispatch_count("inline") - inline_before, 1u) << kind_name(kind);
+    EXPECT_EQ(dispatch_count("pooled") - pooled_before, 0u) << kind_name(kind);
+  }
+}
+
+TEST(CallerRunsDispatch, DefaultLatencyCallRunsTheServantOnAWorker) {
+  for (PlatformKind kind : kAllPlatforms) {
+    DispatchFixture fx(kind, net::NetConfig{}, 2);
+    auto servant = std::make_shared<ThreadProbeServant>();
+    auto ref = publish(kind, *fx.server, "srv", *fx.client, "obj", servant);
+    std::uint64_t inline_before = dispatch_count("inline");
+    EXPECT_TRUE(ref->invoke("m", {}, {}, ms(2000)).ok()) << kind_name(kind);
+    auto threads = servant->threads();
+    ASSERT_EQ(threads.size(), 1u) << kind_name(kind);
+    EXPECT_NE(threads[0], std::this_thread::get_id()) << kind_name(kind);
+    EXPECT_EQ(dispatch_count("inline") - inline_before, 0u) << kind_name(kind);
+  }
+}
+
+TEST(CallerRunsDispatch, RequestFindingTheOnlySlotHeldQueuesForTheWorker) {
+  for (PlatformKind kind : kAllPlatforms) {
+    DispatchFixture fx(kind, zero_latency(), /*server_threads=*/1);
+    Gate entered, release;
+    std::atomic<int> calls{0};
+    auto servant = std::make_shared<ThreadProbeServant>([&] {
+      if (calls.fetch_add(1) == 0) {
+        entered.set();
+        release.wait();
+      }
+      plat::Reply reply;
+      reply.status = plat::ReplyStatus::kOk;
+      return reply;
+    });
+    auto ref = publish(kind, *fx.server, "srv", *fx.client, "obj", servant);
+    std::thread::id first_caller, second_caller;
+    std::thread first([&] {
+      first_caller = std::this_thread::get_id();
+      EXPECT_TRUE(ref->invoke("m", {}, {}, ms(20000)).ok());
+    });
+    ASSERT_TRUE(entered.wait_for(ms(10000))) << kind_name(kind);
+    std::uint64_t pooled_before = dispatch_count("pooled");
+    std::thread second([&] {
+      second_caller = std::this_thread::get_id();
+      EXPECT_TRUE(ref->invoke("m", {}, {}, ms(20000)).ok());
+    });
+    // The second request finds the slot held inline: it is queued, and no
+    // worker may start it while the first still runs.
+    TimePoint give_up = now() + ms(10000);
+    while (dispatch_count("pooled") == pooled_before && now() < give_up) {
+      std::this_thread::sleep_for(ms(1));
+    }
+    EXPECT_EQ(dispatch_count("pooled") - pooled_before, 1u) << kind_name(kind);
+    EXPECT_EQ(servant->threads().size(), 1u) << kind_name(kind);
+    release.set();
+    first.join();
+    second.join();
+    auto threads = servant->threads();
+    ASSERT_EQ(threads.size(), 2u) << kind_name(kind);
+    EXPECT_EQ(threads[0], first_caller) << kind_name(kind);
+    EXPECT_NE(threads[1], first_caller) << kind_name(kind);
+    EXPECT_NE(threads[1], second_caller) << kind_name(kind);
+  }
+}
+
+TEST(CallerRunsDispatch, DroppedReplyTimesOutAtItsDeadline) {
+  DispatchFixture fx(PlatformKind::kRmi, zero_latency(), 2);
+  auto servant = std::make_shared<ThreadProbeServant>();
+  auto ref = publish(PlatformKind::kRmi, *fx.server, "srv", *fx.client, "obj",
+                     servant);
+  // Drop everything sent to host cli: the reply, not the request.
+  fx.net.faults().run_plan(net::FaultPlan::parse(
+      "plan drop-replies\nseed 1\n@0ms drop_burst * cli 60000ms 1.0\n"));
+  ASSERT_TRUE(fx.net.faults().wait_plan_done(ms(2000)));
+  TimePoint start = now();
+  plat::Reply reply = ref->invoke("m", {}, {}, ms(50));
+  Duration took = now() - start;
+  EXPECT_EQ(reply.status, plat::ReplyStatus::kUnreachable);
+  EXPECT_EQ(reply.error, "timeout");
+  EXPECT_GE(took, ms(50));
+  EXPECT_LT(took, ms(5000));
+  // The servant did run, inline, before the reply was lost.
+  EXPECT_EQ(servant->threads(),
+            std::vector<std::thread::id>{std::this_thread::get_id()});
+}
+
+TEST(CallerRunsDispatch, InlineServantPastTheDeadlineStillReturnsItsReply) {
+  DispatchFixture fx(PlatformKind::kRmi, zero_latency(), 2);
+  auto servant = std::make_shared<ThreadProbeServant>([] {
+    std::this_thread::sleep_for(ms(80));
+    plat::Reply reply;
+    reply.status = plat::ReplyStatus::kOk;
+    return reply;
+  });
+  auto ref = publish(PlatformKind::kRmi, *fx.server, "srv", *fx.client, "obj",
+                     servant);
+  // The caller runs its own request, so it cannot return before the
+  // servant; a reply that arrives by then is returned even past the
+  // deadline.
+  TimePoint start = now();
+  plat::Reply reply = ref->invoke("m", {}, {}, ms(10));
+  EXPECT_GE(now() - start, ms(80));
+  EXPECT_TRUE(reply.ok());
+}
+
+TEST(CallerRunsDispatch, ServantCallingBackIntoTheCallersHostCompletes) {
+  for (PlatformKind kind : kAllPlatforms) {
+    net::SimNetwork net(zero_latency());
+    rmi::Registry registry(net, "nameserver");
+    corba::SmartAgent agent(net, "nameserver");
+    // One slot each: the callback must not need a second one.
+    auto a = make_runtime(kind, net, "hostA", 1);
+    auto b = make_runtime(kind, net, "hostB", 1);
+    auto inner = std::make_shared<ThreadProbeServant>([] {
+      plat::Reply reply;
+      reply.status = plat::ReplyStatus::kOk;
+      reply.result = Value(std::int64_t{42});
+      return reply;
+    });
+    auto inner_ref = publish(kind, *a, "hostA", *b, "inner", inner);
+    auto outer = std::make_shared<ThreadProbeServant>([&] {
+      return inner_ref->invoke("m", {}, {}, ms(2000));
+    });
+    auto outer_ref = publish(kind, *b, "hostB", *a, "outer", outer);
+    plat::Reply reply = outer_ref->invoke("m", {}, {}, ms(5000));
+    ASSERT_TRUE(reply.ok()) << kind_name(kind) << ": " << reply.error;
+    EXPECT_EQ(reply.result.as_i64(), 42) << kind_name(kind);
+    const auto me = std::this_thread::get_id();
+    EXPECT_EQ(outer->threads(), std::vector<std::thread::id>{me})
+        << kind_name(kind);
+    EXPECT_EQ(inner->threads(), std::vector<std::thread::id>{me})
+        << kind_name(kind);
   }
 }
 

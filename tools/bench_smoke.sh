@@ -173,12 +173,12 @@ if "bench_scale" in benches:
     if doc.get("bench") != "scale":
         fail(f"{path}: bench={doc.get('bench')!r}, want 'scale'")
     rows = doc.get("rows")
-    if not isinstance(rows, list) or len(rows) != 5:
-        fail(f"{path}: {len(rows or [])} rows, want 5")
+    if not isinstance(rows, list) or len(rows) != 4:
+        fail(f"{path}: {len(rows or [])} rows, want 4")
     labels = {row.get("label") for row in rows}
     for want_label in ("virtual-zipf-flash-100k",
                        "virtual-rolling-partition-100k",
-                       "contend-1", "contend-4", "contend-4-serialized"):
+                       "contend-1", "contend-4"):
         if want_label not in labels:
             fail(f"{path}: missing row {want_label}")
     check_rows(path, rows)
