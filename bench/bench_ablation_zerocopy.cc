@@ -8,11 +8,7 @@
 //                        per encode (BufferPool::set_enabled);
 //   - encoded-params     the Request single-encode cache vs re-encoding the
 //     cache               parameter list for every consumer — HMAC input,
-//                        DES plaintext (Request::set_encode_cache_enabled);
-//   - per-key crypto     the DES key-schedule cache and the HMAC pad-block
-//     caches              midstate cache vs rebuilding both on every
-//                        operation (crypto::Des::set_schedule_cache_enabled,
-//                        crypto::HmacKey::set_key_cache_enabled).
+//                        DES plaintext (Request::set_encode_cache_enabled).
 //
 // The round trip runs in-process over a loopback QoS interface (mirroring
 // tests/test_stub_skeleton.cc): cluster round trips are dominated by the
@@ -45,17 +41,11 @@ namespace {
 struct Knobs {
   bool pool = true;
   bool encode_cache = true;
-  // One knob covers both per-key crypto caches (DES key schedule and HMAC
-  // pad-block midstates): they are the same optimization applied to the two
-  // security micro-protocols, and pre-PR code had neither.
-  bool key_cache = true;
 };
 
 void apply(const Knobs& k) {
   BufferPool::set_enabled(k.pool);
   Request::set_encode_cache_enabled(k.encode_cache);
-  crypto::Des::set_schedule_cache_enabled(k.key_cache);
-  crypto::HmacKey::set_key_cache_enabled(k.key_cache);
 }
 
 /// Applies an ablation configuration for one benchmark and restores the
@@ -178,9 +168,7 @@ void run_roundtrip_ablation() {
       {"full (this PR)", Knobs{}, 0, {}},
       {"no buffer pool", Knobs{.pool = false}, 0, {}},
       {"no encode cache", Knobs{.encode_cache = false}, 0, {}},
-      {"no key caches (DES+HMAC)", Knobs{.key_cache = false}, 0, {}},
-      {"legacy (all off)",
-       Knobs{.pool = false, .encode_cache = false, .key_cache = false}, 0, {}},
+      {"legacy (all off)", Knobs{.pool = false, .encode_cache = false}, 0, {}},
   };
 
   // One shared fixture: the knobs are read per operation, so every config
@@ -225,7 +213,7 @@ void run_roundtrip_ablation() {
                 legacy > 0 ? (row.best_mean - legacy) / legacy * 100.0 : 0.0);
   }
   std::printf(
-      "improvement (full vs legacy): %.1f%%  (acceptance floor: 20%%)\n",
+      "improvement (full vs legacy): %.1f%%\n",
       legacy > 0 ? (legacy - rows.front().best_mean) / legacy * 100.0 : 0.0);
   if (std::getenv("CQOS_BENCH_DUMP_METRICS") != nullptr) {
     std::printf("metrics: %s\n",
@@ -267,12 +255,9 @@ void BM_RequestEncodedParams(benchmark::State& state, bool cached) {
 BENCHMARK_CAPTURE(BM_RequestEncodedParams, cached, true);
 BENCHMARK_CAPTURE(BM_RequestEncodedParams, encode_each, false);
 
-// DES-CBC — the satellite S1 fix: with the schedule cache off, every call
-// rebuilds the 16-round key schedule from the raw key. Sized at a
-// request-like 64 B (where the rebuild is a large fraction of the call) and
-// at 1 KiB (where bulk CBC dominates and the rebuild amortizes away).
-void BM_DesCbc(benchmark::State& state, bool cached) {
-  KnobGuard guard(Knobs{.key_cache = cached});
+// DES-CBC through the key-schedule cache, at a request-like 64 B and at
+// 1 KiB, where bulk CBC dominates.
+void BM_DesCbc(benchmark::State& state) {
   Bytes key = des_key();
   Bytes iv = des_iv();
   Bytes plain(static_cast<std::size_t>(state.range(0)), 0x5a);
@@ -282,14 +267,11 @@ void BM_DesCbc(benchmark::State& state, bool cached) {
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(plain.size()));
 }
-BENCHMARK_CAPTURE(BM_DesCbc, schedule_cached, true)->Arg(64)->Arg(1024);
-BENCHMARK_CAPTURE(BM_DesCbc, schedule_rebuilt, false)->Arg(64)->Arg(1024);
+BENCHMARK(BM_DesCbc)->Arg(64)->Arg(1024);
 
-// HMAC-SHA256 over a typical secured-request payload — with the key cache
-// off, every MAC recomputes the (key ^ ipad)/(key ^ opad) block compressions
-// that HmacKey::for_key otherwise precomputes once per key.
-void BM_HmacSha256(benchmark::State& state, bool cached) {
-  KnobGuard guard(Knobs{.key_cache = cached});
+// HMAC-SHA256 over a typical secured-request payload, from the pad-block
+// midstates HmacKey::for_key precomputes once per key.
+void BM_HmacSha256(benchmark::State& state) {
   Bytes key = mac_key();
   Bytes data(256, 0x5a);
   for (auto _ : state) {
@@ -298,8 +280,7 @@ void BM_HmacSha256(benchmark::State& state, bool cached) {
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(data.size()));
 }
-BENCHMARK_CAPTURE(BM_HmacSha256, key_cached, true);
-BENCHMARK_CAPTURE(BM_HmacSha256, key_rebuilt, false);
+BENCHMARK(BM_HmacSha256);
 
 // Move-through delivery: produce → send → recv → consume → recycle of a
 // 4 KiB payload over a zero-latency SimNetwork. The payload buffer moves

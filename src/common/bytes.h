@@ -23,6 +23,16 @@
 
 namespace cqos {
 
+/// Bytes ByteWriter::put_varint(v) writes.
+inline std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
 class ByteWriter {
  public:
   ByteWriter() : buf_(BufferPool::acquire()) {}

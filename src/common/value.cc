@@ -60,19 +60,6 @@ Value Value::decode(ByteReader& r) {
   throw DecodeError("unknown value tag " + std::to_string(tag));
 }
 
-namespace {
-
-std::size_t varint_size(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
-}  // namespace
-
 std::size_t Value::encoded_size() const {
   std::size_t n = 1;  // tag byte
   switch (type()) {

@@ -1,7 +1,7 @@
 #include "crypto/des.h"
 
 #include <array>
-#include <atomic>
+#include <bit>
 #include <cstring>
 #include <map>
 
@@ -13,23 +13,6 @@ namespace {
 
 // All tables below are the standard FIPS 46-3 tables, written with 1-based
 // bit positions counted from the most significant bit, as in the standard.
-
-constexpr int kIp[64] = {
-    58, 50, 42, 34, 26, 18, 10, 2, 60, 52, 44, 36, 28, 20, 12, 4,
-    62, 54, 46, 38, 30, 22, 14, 6, 64, 56, 48, 40, 32, 24, 16, 8,
-    57, 49, 41, 33, 25, 17, 9,  1, 59, 51, 43, 35, 27, 19, 11, 3,
-    61, 53, 45, 37, 29, 21, 13, 5, 63, 55, 47, 39, 31, 23, 15, 7};
-
-constexpr int kFp[64] = {
-    40, 8, 48, 16, 56, 24, 64, 32, 39, 7, 47, 15, 55, 23, 63, 31,
-    38, 6, 46, 14, 54, 22, 62, 30, 37, 5, 45, 13, 53, 21, 61, 29,
-    36, 4, 44, 12, 52, 20, 60, 28, 35, 3, 43, 11, 51, 19, 59, 27,
-    34, 2, 42, 10, 50, 18, 58, 26, 33, 1, 41, 9,  49, 17, 57, 25};
-
-constexpr int kExpansion[48] = {32, 1,  2,  3,  4,  5,  4,  5,  6,  7,  8,  9,
-                                8,  9,  10, 11, 12, 13, 12, 13, 14, 15, 16, 17,
-                                16, 17, 18, 19, 20, 21, 20, 21, 22, 23, 24, 25,
-                                24, 25, 26, 27, 28, 29, 28, 29, 30, 31, 32, 1};
 
 constexpr int kPerm[32] = {16, 7, 20, 21, 29, 12, 28, 17, 1,  15, 23,
                            26, 5, 18, 31, 10, 2,  8,  24, 14, 32, 27,
@@ -83,13 +66,12 @@ constexpr std::uint8_t kSbox[8][64] = {
 
 // Apply a 1-based-from-MSB bit permutation: output has `out_bits` bits,
 // bit i of the output (counting from MSB of the out_bits-wide result) is
-// bit table[i] of the `in_bits`-wide input.
+// bit table[i] of the `in_bits`-wide input. Key schedule only.
 std::uint64_t permute(std::uint64_t in, int in_bits, const int* table,
                       int out_bits) {
   std::uint64_t out = 0;
   for (int i = 0; i < out_bits; ++i) {
-    int src = table[i];  // 1-based from MSB
-    std::uint64_t bit = (in >> (in_bits - src)) & 1;
+    std::uint64_t bit = (in >> (in_bits - table[i])) & 1;
     out = (out << 1) | bit;
   }
   return out;
@@ -101,109 +83,97 @@ std::uint64_t load_be64(const std::uint8_t b[8]) {
   return v;
 }
 
-void store_be64(std::uint64_t v, std::uint8_t b[8]) {
-  for (int i = 7; i >= 0; --i) {
-    b[i] = static_cast<std::uint8_t>(v & 0xff);
-    v >>= 8;
-  }
+std::uint32_t load_be32(const std::uint8_t b[4]) {
+  return (static_cast<std::uint32_t>(b[0]) << 24) |
+         (static_cast<std::uint32_t>(b[1]) << 16) |
+         (static_cast<std::uint32_t>(b[2]) << 8) | b[3];
+}
+
+void store_be32(std::uint32_t v, std::uint8_t b[4]) {
+  b[0] = static_cast<std::uint8_t>(v >> 24);
+  b[1] = static_cast<std::uint8_t>(v >> 16);
+  b[2] = static_cast<std::uint8_t>(v >> 8);
+  b[3] = static_cast<std::uint8_t>(v);
 }
 
 std::uint32_t rotl28(std::uint32_t v, int n) {
   return ((v << n) | (v >> (28 - n))) & 0x0fffffff;
 }
 
-// Byte-indexed tables for the 64->64 initial/final permutations: the
-// permuted word is the XOR of eight lookups, one per input byte, instead
-// of 64 single-bit moves.
-using PermTab = std::array<std::array<std::uint64_t, 256>, 8>;
+// The rounds keep each half rotated left by one bit. Then the expansion
+// E's eight 6-bit groups are plain windows: groups 1,3,5,7 are bits 24,
+// 16, 8 and 0 of the rotated half, groups 0,2,4,6 the same bits of it
+// rotated right by four more. SP[box][six] is S-box `box` on window `six`,
+// put through P and rotated left by one, so the round output XORs
+// straight into the other rotated half.
+using SpTables = std::array<std::array<std::uint32_t, 64>, 8>;
 
-PermTab build_perm_tab(const int* table) {
-  std::array<int, 65> out_pos{};  // input bit -> output bit, 1-based from MSB
-  for (int i = 0; i < 64; ++i) {
-    out_pos[static_cast<std::size_t>(table[i])] = i + 1;
-  }
-  PermTab tab{};
-  for (int b = 0; b < 8; ++b) {
-    for (int v = 0; v < 256; ++v) {
-      std::uint64_t out = 0;
-      for (int k = 0; k < 8; ++k) {
-        if ((v & (1 << (7 - k))) != 0) {
-          int src = 8 * b + k + 1;
-          out |= 1ULL << (64 - out_pos[static_cast<std::size_t>(src)]);
-        }
+constexpr SpTables build_sp() {
+  SpTables sp{};
+  for (std::size_t box = 0; box < 8; ++box) {
+    for (std::size_t six = 0; six < 64; ++six) {
+      std::size_t row = ((six & 0x20) >> 4) | (six & 0x01);
+      std::size_t col = (six >> 1) & 0x0f;
+      std::uint32_t s = static_cast<std::uint32_t>(kSbox[box][row * 16 + col])
+                        << (28 - 4 * box);
+      std::uint32_t p = 0;
+      for (int i = 0; i < 32; ++i) {
+        p |= ((s >> (32 - kPerm[i])) & 1u) << (31 - i);
       }
-      tab[static_cast<std::size_t>(b)][static_cast<std::size_t>(v)] = out;
+      sp[box][six] = std::rotl(p, 1);
     }
   }
-  return tab;
+  return sp;
 }
 
-std::uint64_t apply_perm_tab(const PermTab& tab, std::uint64_t in) {
-  std::uint64_t out = 0;
-  for (int b = 0; b < 8; ++b) {
-    out ^= tab[static_cast<std::size_t>(b)][(in >> (56 - 8 * b)) & 0xff];
-  }
-  return out;
+constexpr SpTables kSp = build_sp();
+
+// Cipher function f on a rotated half, with round key words k[0] (groups
+// 0,2,4,6) and k[1] (groups 1,3,5,7).
+inline std::uint32_t f(std::uint32_t r, const std::uint32_t* k) {
+  std::uint32_t t = std::rotr(r, 4) ^ k[0];
+  std::uint32_t out = kSp[0][(t >> 24) & 0x3f] ^ kSp[2][(t >> 16) & 0x3f] ^
+                      kSp[4][(t >> 8) & 0x3f] ^ kSp[6][t & 0x3f];
+  t = r ^ k[1];
+  return out ^ kSp[1][(t >> 24) & 0x3f] ^ kSp[3][(t >> 16) & 0x3f] ^
+         kSp[5][(t >> 8) & 0x3f] ^ kSp[7][t & 0x3f];
 }
 
-const PermTab& ip_tab() {
-  static const PermTab tab = build_perm_tab(kIp);
-  return tab;
+// Exchange the bits of `a >> n` selected by `mask` with the same bits of b.
+inline void delta_swap(std::uint32_t& a, std::uint32_t& b, int n,
+                       std::uint32_t mask) {
+  std::uint32_t t = ((a >> n) ^ b) & mask;
+  b ^= t;
+  a ^= t << n;
 }
 
-const PermTab& fp_tab() {
-  static const PermTab tab = build_perm_tab(kFp);
-  return tab;
+// IP as five delta swaps (Hoey's sequence, as in Outerbridge's d3des),
+// leaving both halves rotated left by one for the rounds.
+inline void initial_permutation(std::uint32_t& l, std::uint32_t& r) {
+  delta_swap(l, r, 4, 0x0f0f0f0f);
+  delta_swap(l, r, 16, 0x0000ffff);
+  delta_swap(r, l, 2, 0x33333333);
+  delta_swap(r, l, 8, 0x00ff00ff);
+  delta_swap(l, r, 1, 0x55555555);
+  l = std::rotl(l, 1);
+  r = std::rotl(r, 1);
 }
 
-// Combined S-box + P-permutation tables: SP[box][six] is kPerm applied to
-// kSbox[box]'s output nibble placed at its position in the 32-bit S-box
-// result. With these, one round is eight table lookups instead of the
-// bit-at-a-time kExpansion/kPerm permutes — the per-block cost drops an
-// order of magnitude while the key-schedule build (kPc1/kPc2) keeps its
-// cost, which is what the Des::for_key schedule cache amortizes.
-const std::array<std::array<std::uint32_t, 64>, 8>& sp_tables() {
-  static const std::array<std::array<std::uint32_t, 64>, 8> tables = [] {
-    std::array<std::array<std::uint32_t, 64>, 8> sp{};
-    for (int box = 0; box < 8; ++box) {
-      for (int six = 0; six < 64; ++six) {
-        int row = ((six & 0x20) >> 4) | (six & 0x01);
-        int col = (six >> 1) & 0x0f;
-        std::uint32_t nibble = kSbox[box][row * 16 + col];
-        std::uint64_t sbox_out = static_cast<std::uint64_t>(nibble)
-                                 << (28 - 4 * box);
-        sp[static_cast<std::size_t>(box)][static_cast<std::size_t>(six)] =
-            static_cast<std::uint32_t>(permute(sbox_out, 32, kPerm, 32));
-      }
-    }
-    return sp;
-  }();
-  return tables;
-}
-
-std::uint32_t f_function(std::uint32_t half, std::uint64_t subkey) {
-  const auto& sp = sp_tables();
-  // kExpansion's groups are the circular windows half[4g-1 .. 4g+4]
-  // (1-based from MSB): materialize the 34-bit circular string
-  // bit32 | half | bit1 once, then each group is a 6-bit shift+mask.
-  std::uint64_t t = (static_cast<std::uint64_t>(half & 1) << 33) |
-                    (static_cast<std::uint64_t>(half) << 1) | (half >> 31);
-  std::uint32_t out = 0;
-  for (int g = 0; g < 8; ++g) {
-    auto six = static_cast<std::size_t>(((t >> (28 - 4 * g)) & 0x3f) ^
-                                        ((subkey >> (42 - 6 * g)) & 0x3f));
-    out ^= sp[static_cast<std::size_t>(g)][six];
-  }
-  return out;
+// FP = IP^-1: undo the rotation, then the same swaps in reverse order.
+inline void final_permutation(std::uint32_t& l, std::uint32_t& r) {
+  l = std::rotr(l, 1);
+  r = std::rotr(r, 1);
+  delta_swap(l, r, 1, 0x55555555);
+  delta_swap(r, l, 8, 0x00ff00ff);
+  delta_swap(r, l, 2, 0x33333333);
+  delta_swap(l, r, 16, 0x0000ffff);
+  delta_swap(l, r, 4, 0x0f0f0f0f);
 }
 
 }  // namespace
 
 std::shared_ptr<const Des> Des::for_key(std::span<const std::uint8_t> key8) {
   if (key8.size() != 8) throw Error("DES key must be 8 bytes");
-  if (!schedule_cache_enabled()) {
-    return std::make_shared<const Des>(key8);
-  }
   std::uint64_t key = load_be64(key8.data());
 
   // Fast path: the last key this thread used (typically the one session key).
@@ -234,75 +204,81 @@ std::shared_ptr<const Des> Des::for_key(std::span<const std::uint8_t> key8) {
   return des;
 }
 
-namespace {
-std::atomic<bool> g_schedule_cache_enabled{true};
-}  // namespace
-
-void Des::set_schedule_cache_enabled(bool on) {
-  g_schedule_cache_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool Des::schedule_cache_enabled() {
-  return g_schedule_cache_enabled.load(std::memory_order_relaxed);
-}
-
 Des::Des(std::span<const std::uint8_t> key8) {
   if (key8.size() != 8) throw Error("DES key must be 8 bytes");
   std::uint64_t key = load_be64(key8.data());
   std::uint64_t permuted = permute(key, 64, kPc1, 56);
   auto c = static_cast<std::uint32_t>((permuted >> 28) & 0x0fffffff);
   auto d = static_cast<std::uint32_t>(permuted & 0x0fffffff);
-  for (int round = 0; round < 16; ++round) {
+  for (std::size_t round = 0; round < 16; ++round) {
     c = rotl28(c, kShifts[round]);
     d = rotl28(d, kShifts[round]);
     std::uint64_t cd = (static_cast<std::uint64_t>(c) << 28) | d;
-    subkeys_[static_cast<std::size_t>(round)] = permute(cd, 56, kPc2, 48);
+    std::uint64_t k48 = permute(cd, 56, kPc2, 48);
+    // Group g is k48 bits 47-6g .. 42-6g; odd groups go to the second word.
+    for (int g = 0; g < 8; ++g) {
+      auto chunk = static_cast<std::uint32_t>((k48 >> (42 - 6 * g)) & 0x3f);
+      round_keys_[2 * round + g % 2] |= chunk << (24 - 8 * (g / 2));
+    }
   }
 }
 
-std::uint64_t Des::feistel(std::uint64_t block, bool decrypt) const {
-  std::uint64_t ip = apply_perm_tab(ip_tab(), block);
-  auto left = static_cast<std::uint32_t>(ip >> 32);
-  auto right = static_cast<std::uint32_t>(ip & 0xffffffff);
-  for (int round = 0; round < 16; ++round) {
-    std::size_t k = decrypt ? static_cast<std::size_t>(15 - round)
-                            : static_cast<std::size_t>(round);
-    std::uint32_t next = left ^ f_function(right, subkeys_[k]);
-    left = right;
-    right = next;
+void Des::crypt(std::uint32_t& left, std::uint32_t& right,
+                bool decrypt) const {
+  std::uint32_t l = left;
+  std::uint32_t r = right;
+  initial_permutation(l, r);
+  const std::uint32_t* k = round_keys_.data();
+  for (std::size_t i = 0; i < 16; i += 2) {
+    l ^= f(r, k + 2 * (decrypt ? 15 - i : i));
+    r ^= f(l, k + 2 * (decrypt ? 14 - i : i + 1));
   }
-  // Final swap then inverse initial permutation.
-  std::uint64_t preoutput =
-      (static_cast<std::uint64_t>(right) << 32) | left;
-  return apply_perm_tab(fp_tab(), preoutput);
+  // The output swaps the halves: FP(R16 || L16).
+  final_permutation(r, l);
+  left = r;
+  right = l;
 }
 
 void Des::encrypt_block(const std::uint8_t in[8], std::uint8_t out[8]) const {
-  store_be64(feistel(load_be64(in), /*decrypt=*/false), out);
+  std::uint32_t l = load_be32(in);
+  std::uint32_t r = load_be32(in + 4);
+  crypt(l, r, /*decrypt=*/false);
+  store_be32(l, out);
+  store_be32(r, out + 4);
 }
 
 void Des::decrypt_block(const std::uint8_t in[8], std::uint8_t out[8]) const {
-  store_be64(feistel(load_be64(in), /*decrypt=*/true), out);
+  std::uint32_t l = load_be32(in);
+  std::uint32_t r = load_be32(in + 4);
+  crypt(l, r, /*decrypt=*/true);
+  store_be32(l, out);
+  store_be32(r, out + 4);
 }
 
 Bytes des_cbc_encrypt(const Des& des, std::span<const std::uint8_t> iv8,
                       std::span<const std::uint8_t> plaintext) {
   if (iv8.size() != 8) throw Error("DES-CBC IV must be 8 bytes");
-  std::size_t pad = 8 - plaintext.size() % 8;
-  Bytes padded(plaintext.begin(), plaintext.end());
-  padded.insert(padded.end(), pad, static_cast<std::uint8_t>(pad));
-
-  Bytes out(padded.size());
-  std::uint8_t chain[8];
-  std::memcpy(chain, iv8.data(), 8);
-  for (std::size_t off = 0; off < padded.size(); off += 8) {
-    std::uint8_t block[8];
-    for (int i = 0; i < 8; ++i) {
-      block[i] = padded[off + static_cast<std::size_t>(i)] ^ chain[i];
-    }
-    des.encrypt_block(block, &out[off]);
-    std::memcpy(chain, &out[off], 8);
+  const std::size_t whole = plaintext.size() / 8 * 8;
+  Bytes out(whole + 8);
+  std::uint32_t l = load_be32(iv8.data());
+  std::uint32_t r = load_be32(iv8.data() + 4);
+  auto chain = [&](const std::uint8_t* in, std::uint8_t* dst) {
+    l ^= load_be32(in);
+    r ^= load_be32(in + 4);
+    des.crypt(l, r, /*decrypt=*/false);
+    store_be32(l, dst);
+    store_be32(r, dst + 4);
+  };
+  for (std::size_t off = 0; off < whole; off += 8) {
+    chain(&plaintext[off], &out[off]);
   }
+  // PKCS#7: the last block is the 0-7 leftover bytes and 8 - leftover
+  // bytes of value 8 - leftover.
+  const std::size_t rest = plaintext.size() - whole;
+  std::uint8_t last[8];
+  std::memset(last, static_cast<int>(8 - rest), sizeof(last));
+  if (rest > 0) std::memcpy(last, &plaintext[whole], rest);
+  chain(last, &out[whole]);
   return out;
 }
 
@@ -319,15 +295,18 @@ Bytes des_cbc_decrypt(const Des& des, std::span<const std::uint8_t> iv8,
     throw DecodeError("DES-CBC ciphertext not a positive multiple of 8");
   }
   Bytes out(ciphertext.size());
-  std::uint8_t chain[8];
-  std::memcpy(chain, iv8.data(), 8);
+  std::uint32_t prev_l = load_be32(iv8.data());
+  std::uint32_t prev_r = load_be32(iv8.data() + 4);
   for (std::size_t off = 0; off < ciphertext.size(); off += 8) {
-    std::uint8_t block[8];
-    des.decrypt_block(&ciphertext[off], block);
-    for (int i = 0; i < 8; ++i) {
-      out[off + static_cast<std::size_t>(i)] = block[i] ^ chain[i];
-    }
-    std::memcpy(chain, &ciphertext[off], 8);
+    const std::uint32_t cl = load_be32(&ciphertext[off]);
+    const std::uint32_t cr = load_be32(&ciphertext[off + 4]);
+    std::uint32_t l = cl;
+    std::uint32_t r = cr;
+    des.crypt(l, r, /*decrypt=*/true);
+    store_be32(l ^ prev_l, &out[off]);
+    store_be32(r ^ prev_r, &out[off + 4]);
+    prev_l = cl;
+    prev_r = cr;
   }
   std::uint8_t pad = out.back();
   if (pad == 0 || pad > 8 || pad > out.size()) {

@@ -27,19 +27,17 @@ class Des {
   /// are cheap to rebuild, the win is the steady state of few session keys).
   static std::shared_ptr<const Des> for_key(std::span<const std::uint8_t> key8);
 
-  /// Ablation/test knob: disabled, for_key() builds a fresh schedule per
-  /// call — the pre-fix behaviour of the CBC helpers.
-  static void set_schedule_cache_enabled(bool on);
-  static bool schedule_cache_enabled();
-
   /// Encrypt/decrypt a single 8-byte block.
   void encrypt_block(const std::uint8_t in[8], std::uint8_t out[8]) const;
   void decrypt_block(const std::uint8_t in[8], std::uint8_t out[8]) const;
 
- private:
-  std::uint64_t feistel(std::uint64_t block, bool decrypt) const;
+  /// Encrypt/decrypt one block held as its big-endian 32-bit halves.
+  void crypt(std::uint32_t& left, std::uint32_t& right, bool decrypt) const;
 
-  std::array<std::uint64_t, 16> subkeys_{};  // 48-bit round keys
+ private:
+  // Round r's key as two words of four 6-bit chunks (DESIGN.md §10):
+  // [2r] holds expansion groups 0,2,4,6 and [2r+1] groups 1,3,5,7.
+  std::array<std::uint32_t, 32> round_keys_{};
 };
 
 /// DES-CBC with PKCS#7 padding. `iv` must be 8 bytes. Callers on a hot path

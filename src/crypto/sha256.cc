@@ -1,10 +1,16 @@
 #include "crypto/sha256.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cstring>
 #include <map>
 
 #include "common/sync.h"
+#include "crypto/sha256_detail.h"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace cqos::crypto {
 namespace {
@@ -26,55 +32,139 @@ std::uint32_t rotr(std::uint32_t v, int n) {
   return (v >> n) | (v << (32 - n));
 }
 
+using CompressFn = void (*)(std::uint32_t*, const std::uint8_t*, std::size_t);
+
+CompressFn pick_compress() {
+#if defined(__x86_64__)
+  if (detail::sha256_cpu_has_sha_ext()) return detail::sha256_compress_sha_ext;
+#endif
+  return detail::sha256_compress_portable;
+}
+
+// Decided once per process, on the first hash.
+void compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* blocks,
+              std::size_t nblocks) {
+  static const CompressFn fn = pick_compress();
+  fn(state.data(), blocks, nblocks);
+}
+
 }  // namespace
+
+namespace detail {
+
+void sha256_compress_portable(std::uint32_t state[8],
+                              const std::uint8_t* blocks,
+                              std::size_t nblocks) {
+  for (; nblocks > 0; --nblocks, blocks += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(blocks[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(blocks[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(blocks[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(blocks[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      std::uint32_t ch = (e & f) ^ (~e & g);
+      std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+      std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(__x86_64__)
+bool sha256_cpu_has_sha_ext() {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (__get_cpuid(1, &a, &b, &c, &d) == 0 || (c & bit_SSE4_1) == 0) {
+    return false;
+  }
+  if (__get_cpuid_count(7, 0, &a, &b, &c, &d) == 0) return false;
+  return (b & bit_SHA) != 0;
+}
+
+// The state lives in two registers as ABEF and CDGH, the layout
+// sha256rnds2 takes. Each step runs four rounds on one 4-word group of the
+// message schedule and computes the group twelve words ahead.
+__attribute__((target("sha,sse4.1"))) void sha256_compress_sha_ext(
+    std::uint32_t state[8], const std::uint8_t* blocks, std::size_t nblocks) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  auto load = [](const void* p) {
+    return _mm_loadu_si128(static_cast<const __m128i*>(p));
+  };
+  __m128i tmp = _mm_shuffle_epi32(load(state), 0xB1);         // CDAB
+  __m128i state1 = _mm_shuffle_epi32(load(state + 4), 0x1B);  // EFGH
+  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);           // ABEF
+  state1 = _mm_blend_epi16(state1, tmp, 0xF0);                // CDGH
+
+  for (; nblocks > 0; --nblocks, blocks += 64) {
+    const __m128i abef = state0;
+    const __m128i cdgh = state1;
+    __m128i w[4];
+    for (int i = 0; i < 4; ++i) {
+      w[i] = _mm_shuffle_epi8(load(blocks + 16 * i), byte_swap);
+    }
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      const __m128i msg = _mm_add_epi32(w[i % 4], load(&kK[4 * i]));
+      state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
+      state0 = _mm_sha256rnds2_epu32(state0, state1,
+                                     _mm_shuffle_epi32(msg, 0x0E));
+      if (i < 12) {
+        __m128i next = _mm_sha256msg1_epu32(w[i % 4], w[(i + 1) % 4]);
+        next = _mm_add_epi32(
+            next, _mm_alignr_epi8(w[(i + 3) % 4], w[(i + 2) % 4], 4));
+        w[i % 4] = _mm_sha256msg2_epu32(next, w[(i + 3) % 4]);
+      }
+    }
+    state0 = _mm_add_epi32(state0, abef);
+    state1 = _mm_add_epi32(state1, cdgh);
+  }
+
+  tmp = _mm_shuffle_epi32(state0, 0x1B);        // FEBA
+  state1 = _mm_shuffle_epi32(state1, 0xB1);     // DCHG
+  state0 = _mm_blend_epi16(tmp, state1, 0xF0);  // DCBA
+  state1 = _mm_alignr_epi8(state1, tmp, 8);     // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), state0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), state1);
+}
+#endif
+
+}  // namespace detail
 
 Sha256::Sha256() {
   state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-}
-
-void Sha256::process_block(const std::uint8_t block[64]) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    std::uint32_t ch = (e & f) ^ (~e & g);
-    std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
@@ -86,13 +176,13 @@ void Sha256::update(std::span<const std::uint8_t> data) {
     buffer_len_ += take;
     off += take;
     if (buffer_len_ == 64) {
-      process_block(buffer_.data());
+      compress(state_, buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (off + 64 <= data.size()) {
-    process_block(data.data() + off);
-    off += 64;
+  if (std::size_t whole = (data.size() - off) / 64; whole > 0) {
+    compress(state_, data.data() + off, whole);
+    off += 64 * whole;
   }
   if (off < data.size()) {
     std::memcpy(buffer_.data(), data.data() + off, data.size() - off);
@@ -172,18 +262,19 @@ Sha256Digest HmacKey::mac(std::span<const std::uint8_t> data) const {
 
 std::shared_ptr<const HmacKey> HmacKey::for_key(
     std::span<const std::uint8_t> key) {
-  if (!key_cache_enabled()) {
-    return std::make_shared<const HmacKey>(key);
-  }
-  Bytes key_bytes(key.begin(), key.end());
-
-  // Fast path: the last key this thread used (typically the one session key).
+  // Fast path: the last key this thread used (typically the one session
+  // key), compared in place so that a hit allocates nothing.
   struct LastKey {
     Bytes key;
     std::shared_ptr<const HmacKey> hk;
   };
   thread_local LastKey last;
-  if (last.hk && last.key == key_bytes) return last.hk;
+  if (last.hk && std::equal(key.begin(), key.end(), last.key.begin(),
+                            last.key.end())) {
+    return last.hk;
+  }
+
+  Bytes key_bytes(key.begin(), key.end());
 
   static Mutex mu;
   static std::map<Bytes, std::shared_ptr<const HmacKey>>* cache =
@@ -203,18 +294,6 @@ std::shared_ptr<const HmacKey> HmacKey::for_key(
   }
   last = LastKey{std::move(key_bytes), hk};
   return hk;
-}
-
-namespace {
-std::atomic<bool> g_hmac_key_cache_enabled{true};
-}  // namespace
-
-void HmacKey::set_key_cache_enabled(bool on) {
-  g_hmac_key_cache_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool HmacKey::key_cache_enabled() {
-  return g_hmac_key_cache_enabled.load(std::memory_order_relaxed);
 }
 
 Sha256Digest hmac_sha256(std::span<const std::uint8_t> key,

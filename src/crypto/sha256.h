@@ -38,8 +38,6 @@ class Sha256 {
   }
 
  private:
-  void process_block(const std::uint8_t block[64]);
-
   std::array<std::uint32_t, 8> state_{};
   std::uint64_t total_len_ = 0;
   std::array<std::uint8_t, 64> buffer_{};
@@ -60,12 +58,9 @@ class HmacKey {
   Sha256Digest mac(std::span<const std::uint8_t> data) const;
 
   /// Memoized lookup (thread-local last-key fast path over a small global
-  /// map), mirroring Des::for_key. When the cache is disabled (ablation /
-  /// tests) every call precomputes a fresh key.
+  /// map), mirroring Des::for_key.
   static std::shared_ptr<const HmacKey> for_key(
       std::span<const std::uint8_t> key);
-  static void set_key_cache_enabled(bool on);
-  static bool key_cache_enabled();
 
  private:
   Sha256::State inner_;

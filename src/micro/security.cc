@@ -45,19 +45,23 @@ Bytes parse_hex_key(const std::string& hex, const std::string& what) {
 
 crypto::Sha256Digest request_mac(const Bytes& key, const Request& req) {
   std::shared_ptr<const Bytes> params = req.encoded_params();
-  ByteWriter w(8 + req.method.size() + 10 + params->size() + 10);
+  ByteWriter w(8 + varint_size(req.method.size()) + req.method.size() +
+               varint_size(params->size()) + params->size());
   w.put_u64(req.id);
   w.put_string(req.method);
   w.put_blob(*params);
   return crypto::hmac_sha256(key, w.data());
 }
 
+// The MAC input is id || blob(encoding of result); the blob is written as
+// its length varint followed by the encoding made in place.
 crypto::Sha256Digest reply_mac(const Bytes& key, std::uint64_t id,
                                const Value& result) {
-  ByteWriter w;
+  const std::size_t n = result.encoded_size();
+  ByteWriter w(8 + varint_size(n) + n);
   w.put_u64(id);
-  Bytes encoded = encode_value(result);
-  w.put_blob(encoded);
+  w.put_varint(n);
+  result.encode(w);
   return crypto::hmac_sha256(key, w.data());
 }
 
@@ -67,8 +71,7 @@ void DesPrivacyClient::init(cactus::CompositeProtocol& proto) {
   client_holder(proto);
   // Validate the key eagerly (throws on a bad length) and prime the
   // schedule cache. Handlers capture the raw key and go through
-  // Des::for_key() per operation: a thread-local memo hit when the cache
-  // is enabled, a fresh schedule build when the ablation knob disables it.
+  // Des::for_key() per operation, a thread-local memo hit.
   crypto::Des::for_key(key_);
   Bytes key = key_;
   Bytes iv = iv_;

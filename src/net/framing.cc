@@ -4,19 +4,6 @@
 
 namespace cqos::net {
 
-namespace {
-
-std::size_t varint_size(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
-}  // namespace
-
 Bytes encode_frame(const std::string& from, const std::string& to,
                    std::span<const std::uint8_t> payload) {
   ByteWriter w(4 + frame_overhead(from, to) + payload.size());

@@ -7,6 +7,8 @@
 
 #include "common/error.h"
 #include "common/metrics.h"
+#include "crypto/sha256.h"
+#include "micro/security.h"
 #include "sim/bank_account.h"
 #include "sim/cluster.h"
 
@@ -283,6 +285,42 @@ TEST(SecurityComposition, SecuredCallEncodesParamsExactlyTwicePerCall) {
   for (int i = 0; i < kCalls; ++i) account.deposit(1);
   EXPECT_EQ(ctr.value() - before, 2u * kCalls);
   EXPECT_EQ(account.get_balance(), kCalls) << "round trips must stay correct";
+}
+
+// The bytes MACed are fixed by the wire contract between peers: the
+// helpers must MAC exactly id | method | blob(params) and id |
+// blob(encoded result), built here the long way.
+TEST(SignedIntegrity, MacInputsMatchTheirWireDefinition) {
+  const Bytes key = micro::parse_hex_key(kKey, "test key");
+  const std::vector<Value> values = {
+      Value(),
+      Value(std::int64_t{-42}),
+      Value("balance"),
+      Value(Bytes(200, 0x5a)),  // two-byte length varint
+      Value(ValueList{Value(1.5), Value(true), Value(Bytes(3, 1))}),
+  };
+  std::uint64_t id = 7;
+  for (const Value& v : values) {
+    ++id;
+    ByteWriter encoded;
+    v.encode(encoded);
+    ByteWriter reply;
+    reply.put_u64(id);
+    reply.put_blob(encoded.data());
+    EXPECT_EQ(micro::reply_mac(key, id, v),
+              crypto::hmac_sha256(key, reply.data()))
+        << "reply, value #" << id;
+
+    Request req("Bank", "set_balance", {v, Value(std::int64_t{3})});
+    req.id = id;
+    ByteWriter request;
+    request.put_u64(id);
+    request.put_string(req.method);
+    request.put_blob(Value::encode_list(req.params()));
+    EXPECT_EQ(micro::request_mac(key, req),
+              crypto::hmac_sha256(key, request.data()))
+        << "request, value #" << id;
+  }
 }
 
 }  // namespace
