@@ -130,7 +130,6 @@ int main() {
   {
     sim::Cluster cluster(deployment());
     CqosStub::Options stub_opts;
-    stub_opts.reuse_requests = true;  // the request pool is thread-safe
     auto client = cluster.make_client(stub_opts);
     sim::BankAccountStub warm(client->stub_ptr());
     warm.set_balance(0);

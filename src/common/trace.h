@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -101,16 +102,15 @@ inline Tracer& Tracer::global() {
 
 /// RAII span: times its scope, then records into the global tracer and
 /// (optionally) a latency histogram. Safe with TraceId 0 — the histogram
-/// still sees the sample, the tracer does not.
+/// still sees the sample, the tracer does not. `name` and `detail` are views:
+/// they must outlive the scope. A Span (and its strings) is built only when
+/// the id is traced and the tracer is enabled, so the off path allocates
+/// nothing.
 class ScopedSpan {
  public:
-  ScopedSpan(TraceId id, std::string name, std::string detail = {},
+  ScopedSpan(TraceId id, std::string_view name, std::string_view detail = {},
              metrics::Histogram* hist = nullptr)
-      : id_(id),
-        name_(std::move(name)),
-        detail_(std::move(detail)),
-        hist_(hist),
-        start_(now()) {}
+      : id_(id), name_(name), detail_(detail), hist_(hist), start_(now()) {}
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -118,16 +118,16 @@ class ScopedSpan {
   ~ScopedSpan() {
     Duration elapsed = now() - start_;
     if (hist_ != nullptr) hist_->record(elapsed);
-    if (id_ != 0) {
-      Tracer::global().record(
-          Span{id_, std::move(name_), std::move(detail_), start_, elapsed});
+    if (id_ != 0 && Tracer::global().enabled()) {
+      Tracer::global().record(Span{id_, std::string(name_),
+                                   std::string(detail_), start_, elapsed});
     }
   }
 
  private:
   TraceId id_;
-  std::string name_;
-  std::string detail_;
+  std::string_view name_;
+  std::string_view detail_;
   metrics::Histogram* hist_;
   TimePoint start_;
 };

@@ -283,11 +283,6 @@ QosEndpoint::ClientBuilder& QosEndpoint::ClientBuilder::principal(
   stub_opts_.principal = std::move(who);
   return *this;
 }
-QosEndpoint::ClientBuilder& QosEndpoint::ClientBuilder::reuse_requests(
-    bool on) {
-  stub_opts_.reuse_requests = on;
-  return *this;
-}
 
 std::unique_ptr<QosEndpoint::ClientHandle>
 QosEndpoint::ClientBuilder::build() {

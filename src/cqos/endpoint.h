@@ -276,7 +276,6 @@ class QosEndpoint {
     // Stub knobs (CqosStub::Options).
     ClientBuilder& priority(int p);
     ClientBuilder& principal(std::string who);
-    ClientBuilder& reuse_requests(bool on);
 
     std::unique_ptr<ClientHandle> build();
 
@@ -357,12 +356,5 @@ class QosEndpoint {
     return ServerBuilder(platform, std::move(servant), std::move(object_id));
   }
 };
-
-/// Deprecated pre-handle names, kept for one release: the one-shot build()
-/// return types are now full lifecycle handles.
-using QosClientEndpoint [[deprecated(
-    "use QosEndpoint::ClientHandle")]] = QosEndpoint::ClientHandle;
-using QosServerEndpoint [[deprecated(
-    "use QosEndpoint::ServerHandle")]] = QosEndpoint::ServerHandle;
 
 }  // namespace cqos

@@ -28,7 +28,7 @@ CqosStub::CqosStub(std::shared_ptr<ClientQosInterface> direct,
       opts_(std::move(opts)) {}
 
 RequestPtr CqosStub::acquire(const std::string& method, ValueList params) {
-  if (opts_.reuse_requests) {
+  {
     MutexLock lk(pool_mu_);
     for (auto it = pool_.begin(); it != pool_.end(); ++it) {
       // Only reuse structures no concurrent invocation still references.
@@ -53,7 +53,6 @@ RequestPtr CqosStub::acquire(const std::string& method, ValueList params) {
 }
 
 void CqosStub::release(RequestPtr req) {
-  if (!opts_.reuse_requests) return;
   MutexLock lk(pool_mu_);
   if (pool_.size() < kMaxPooledRequests) pool_.push_back(std::move(req));
 }

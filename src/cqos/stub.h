@@ -34,9 +34,6 @@ class CqosStub {
     int priority = kNormalPriority;
     /// Principal asserted in the piggyback for access control.
     std::string principal;
-    /// Reuse request structures across calls — the optimization the paper
-    /// applies "to avoid object creation". Off in bench_ablation_reuse.
-    bool reuse_requests = true;
   };
 
   /// Full CQoS mode.

@@ -112,7 +112,7 @@ class MicroBase : public cactus::MicroProtocol {
       } else if (const InvocationPtr* inv = ctx.try_dyn<InvocationPtr>()) {
         if ((*inv)->request) id = (*inv)->request->trace_id;
       }
-      trace::ScopedSpan span(id, span_name, std::string(ctx.event()), &hist);
+      trace::ScopedSpan span(id, span_name, ctx.event(), &hist);
       inner(ctx);
     };
     cactus::BindingId bid =

@@ -603,32 +603,6 @@ std::size_t SimNetwork::run_until_idle(std::size_t horizon) {
   return dispatched;
 }
 
-// --- deprecated forwarding shims over faults() -------------------------------
-
-void SimNetwork::crash_host(const std::string& host) {
-  faults_->crash_host(host);
-}
-
-void SimNetwork::recover_host(const std::string& host) {
-  faults_->recover_host(host);
-}
-
-bool SimNetwork::is_crashed(const std::string& host) const {
-  return faults_->is_crashed(host);
-}
-
-void SimNetwork::partition(const std::string& host_a, const std::string& host_b) {
-  faults_->partition(host_a, host_b);
-}
-
-void SimNetwork::heal(const std::string& host_a, const std::string& host_b) {
-  faults_->heal(host_a, host_b);
-}
-
-void SimNetwork::set_drop_rate(double p) {
-  faults_->set_drop_rate(p);
-}
-
 void SimNetwork::set_tap(Tap tap) {
   MutexLock lk(tap_mu_);
   tap_ = std::move(tap);

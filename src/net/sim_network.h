@@ -102,15 +102,6 @@ class SimNetwork : public Transport {
   FaultController& faults() { return *faults_; }
   const FaultController& faults() const { return *faults_; }
 
-  // Deprecated forwarding shims over faults(); new code should call the
-  // FaultController directly.
-  void crash_host(const std::string& host);
-  void recover_host(const std::string& host);
-  bool is_crashed(const std::string& host) const;
-  void partition(const std::string& host_a, const std::string& host_b);
-  void heal(const std::string& host_a, const std::string& host_b);
-  void set_drop_rate(double p);
-
   // --- time ----------------------------------------------------------------
 
   TimeMode time_mode() const { return cfg_.time_mode; }

@@ -1,10 +1,12 @@
 // Platform abstraction: the middleware-facing interface CQoS is layered on.
 //
-// Both concrete platforms (the CORBA-like ORB in platform/corba and the
-// RMI-like runtime in platform/rmi) implement these interfaces. CQoS code
-// never touches platform wire formats — only this API — which is exactly the
-// paper's portability claim: the Cactus client/server are platform neutral,
-// and only the thin interceptor glue differs per platform.
+// Every concrete platform (the CORBA-like ORB in platform/corba, the
+// RMI-like runtime and RMI-IIOP in platform/rmi, the HTTP-style platform in
+// platform/http) implements these interfaces, all on the one request/reply
+// runtime in platform/core. CQoS code never touches platform wire formats —
+// only this API — which is exactly the paper's portability claim: the Cactus
+// client/server are platform neutral, and only the thin interceptor glue
+// differs per platform.
 #pragma once
 
 #include <memory>
@@ -125,7 +127,7 @@ class Platform {
  public:
   virtual ~Platform() = default;
 
-  virtual std::string name() const = 0;  // "corba" | "rmi"
+  virtual std::string name() const = 0;  // "corba" | "rmi" | ...
 
   /// Platform-specific replica naming convention (paper §4): CORBA uses POA
   /// "<oid>_agent_poa_<i>" with object id "<oid>_CQoS_Skeleton"; RMI uses

@@ -11,18 +11,6 @@ constexpr std::uint8_t kVersionMinor = 2;
 constexpr std::uint8_t kFlagsLittleEndian = 1;
 constexpr std::size_t kSizeOffset = 8;  // body-size field position
 
-void encode_ior(ByteWriter& w, const Ior& ior) {
-  encode_cdr_string(w, ior.endpoint);
-  encode_cdr_string(w, ior.object_key);
-}
-
-Ior decode_ior(ByteReader& r) {
-  Ior ior;
-  ior.endpoint = decode_cdr_string(r);
-  ior.object_key = decode_cdr_string(r);
-  return ior;
-}
-
 }  // namespace
 
 void begin_frame(ByteWriter& w, MsgType type, std::uint64_t request_id) {
@@ -60,18 +48,30 @@ GiopHeader read_frame(ByteReader& r) {
   return h;
 }
 
-Bytes encode_request(std::uint64_t request_id, const RequestBody& body) {
-  ByteWriter w(256);
-  begin_frame(w, MsgType::kRequest, request_id);
-  encode_cdr_string(w, body.reply_to);
-  encode_cdr_string(w, body.object_key);
-  encode_cdr_string(w, body.operation);
-  encode_service_context(w, body.service_context);
-  w.align(4);
-  w.put_u32(static_cast<std::uint32_t>(body.params.size()));
-  for (const auto& p : body.params) encode_any(w, p);
+namespace {
+
+Bytes reply_message(std::uint64_t request_id, GiopReplyStatus status,
+                    const PiggybackMap& service_context, const Value& result,
+                    const std::string& error) {
+  ByteWriter w(128);
+  begin_frame(w, MsgType::kReply, request_id);
+  w.put_u8(static_cast<std::uint8_t>(status));
+  encode_service_context(w, service_context);
+  if (status == GiopReplyStatus::kNoException) {
+    encode_any(w, result);
+  } else {
+    encode_cdr_string(w, error);
+  }
   finish_frame(w);
   return std::move(w).take();
+}
+
+}  // namespace
+
+Bytes encode_request(std::uint64_t request_id, const RequestBody& body) {
+  return giop_codec().encode_request(request_id, body.reply_to,
+                                     body.object_key, body.operation,
+                                     body.service_context, body.params);
 }
 
 RequestBody decode_request_body(ByteReader& r) {
@@ -89,17 +89,8 @@ RequestBody decode_request_body(ByteReader& r) {
 }
 
 Bytes encode_reply(std::uint64_t request_id, const ReplyBody& body) {
-  ByteWriter w(128);
-  begin_frame(w, MsgType::kReply, request_id);
-  w.put_u8(static_cast<std::uint8_t>(body.status));
-  encode_service_context(w, body.service_context);
-  if (body.status == GiopReplyStatus::kNoException) {
-    encode_any(w, body.result);
-  } else {
-    encode_cdr_string(w, body.error);
-  }
-  finish_frame(w);
-  return std::move(w).take();
+  return reply_message(request_id, body.status, body.service_context,
+                       body.result, body.error);
 }
 
 ReplyBody decode_reply_body(ByteReader& r) {
@@ -114,75 +105,89 @@ ReplyBody decode_reply_body(ByteReader& r) {
   return body;
 }
 
-Bytes encode_agent_register(std::uint64_t request_id, const std::string& reply_to,
-                            const std::string& poa_name,
-                            const std::string& object_id, const Ior& ior) {
-  ByteWriter w(128);
-  begin_frame(w, MsgType::kAgentRegister, request_id);
-  encode_cdr_string(w, reply_to);
-  encode_cdr_string(w, poa_name);
-  encode_cdr_string(w, object_id);
-  encode_ior(w, ior);
-  finish_frame(w);
-  return std::move(w).take();
-}
+namespace {
 
-Bytes encode_agent_unregister(std::uint64_t request_id,
-                              const std::string& reply_to,
-                              const std::string& poa_name,
-                              const std::string& object_id) {
-  ByteWriter w(96);
-  begin_frame(w, MsgType::kAgentUnregister, request_id);
-  encode_cdr_string(w, reply_to);
-  encode_cdr_string(w, poa_name);
-  encode_cdr_string(w, object_id);
-  finish_frame(w);
-  return std::move(w).take();
-}
+class GiopCodec : public plat::Codec {
+ public:
+  plat::Frame decode(const Bytes& bytes) const override {
+    ByteReader r(bytes);
+    GiopHeader header = read_frame(r);
+    switch (header.type) {
+      case MsgType::kRequest: {
+        RequestBody b = decode_request_body(r);
+        return plat::Frame::request(
+            header.request_id, std::move(b.reply_to), std::move(b.object_key),
+            std::move(b.operation), std::move(b.service_context),
+            std::move(b.params));
+      }
+      case MsgType::kReply: {
+        ReplyBody b = decode_reply_body(r);
+        return plat::Frame::answer(
+            header.request_id, b.status == GiopReplyStatus::kNoException,
+            std::move(b.result), std::move(b.error),
+            std::move(b.service_context));
+      }
+      case MsgType::kPing:
+        return plat::Frame::ping(header.request_id, decode_cdr_string(r));
+      case MsgType::kPong:
+        return plat::Frame::answer(header.request_id, r.get_u8() != 0);
+      default:
+        throw DecodeError("unexpected GIOP message type");
+    }
+  }
 
-Bytes encode_agent_lookup(std::uint64_t request_id, const std::string& reply_to,
-                          const std::string& poa_name,
-                          const std::string& object_id) {
-  ByteWriter w(96);
-  begin_frame(w, MsgType::kAgentLookup, request_id);
-  encode_cdr_string(w, reply_to);
-  encode_cdr_string(w, poa_name);
-  encode_cdr_string(w, object_id);
-  finish_frame(w);
-  return std::move(w).take();
-}
+  Bytes encode_request(std::uint64_t id, const std::string& reply_to,
+                       const std::string& target, const std::string& method,
+                       const PiggybackMap& pb,
+                       const ValueList& params) const override {
+    ByteWriter w(256);
+    begin_frame(w, MsgType::kRequest, id);
+    encode_cdr_string(w, reply_to);
+    encode_cdr_string(w, target);
+    encode_cdr_string(w, method);
+    encode_service_context(w, pb);
+    w.align(4);
+    w.put_u32(static_cast<std::uint32_t>(params.size()));
+    for (const auto& p : params) encode_any(w, p);
+    finish_frame(w);
+    return std::move(w).take();
+  }
+  /// kUnreachable (a no-such-object reply) travels as a system exception.
+  Bytes encode_reply(std::uint64_t id,
+                     const plat::Reply& reply) const override {
+    GiopReplyStatus status =
+        reply.ok() ? GiopReplyStatus::kNoException
+        : reply.status == plat::ReplyStatus::kAppError
+            ? GiopReplyStatus::kUserException
+            : GiopReplyStatus::kSystemException;
+    return reply_message(id, status, reply.piggyback, reply.result,
+                         reply.error);
+  }
+  Bytes encode_ping(std::uint64_t id,
+                    const std::string& reply_to) const override {
+    ByteWriter w(48);
+    begin_frame(w, MsgType::kPing, id);
+    encode_cdr_string(w, reply_to);
+    finish_frame(w);
+    return std::move(w).take();
+  }
+  Bytes encode_pong(std::uint64_t id) const override {
+    ByteWriter w(32);
+    begin_frame(w, MsgType::kPong, id);
+    w.put_u8(1);
+    finish_frame(w);
+    return std::move(w).take();
+  }
+  std::string not_found(const std::string& target) const override {
+    return "OBJECT_NOT_EXIST: " + target;
+  }
+};
 
-Bytes encode_agent_ack(std::uint64_t request_id, bool ok) {
-  ByteWriter w(32);
-  begin_frame(w, MsgType::kAgentRegisterAck, request_id);
-  w.put_u8(ok ? 1 : 0);
-  finish_frame(w);
-  return std::move(w).take();
-}
+}  // namespace
 
-Bytes encode_agent_lookup_reply(std::uint64_t request_id, const Ior& ior) {
-  ByteWriter w(96);
-  begin_frame(w, MsgType::kAgentLookupReply, request_id);
-  w.put_u8(ior.valid() ? 1 : 0);
-  if (ior.valid()) encode_ior(w, ior);
-  finish_frame(w);
-  return std::move(w).take();
-}
-
-AgentRequest decode_agent_request(ByteReader& r, MsgType type) {
-  AgentRequest req;
-  req.reply_to = decode_cdr_string(r);
-  req.poa_name = decode_cdr_string(r);
-  req.object_id = decode_cdr_string(r);
-  if (type == MsgType::kAgentRegister) req.ior = decode_ior(r);
-  return req;
-}
-
-bool decode_agent_ack(ByteReader& r) { return r.get_u8() != 0; }
-
-Ior decode_agent_lookup_reply(ByteReader& r) {
-  if (r.get_u8() == 0) return {};
-  return decode_ior(r);
+const plat::Codec& giop_codec() {
+  static const GiopCodec codec;
+  return codec;
 }
 
 }  // namespace cqos::corba

@@ -1,9 +1,9 @@
 // GIOP-style message framing for the CORBA-like ORB.
 //
 // Layout mirrors GIOP 1.2 in spirit: a 12-byte header (magic "GIOP",
-// version, flags, message type, body size) followed by a CDR body. Message
-// types beyond Request/Reply cover the naming (smart agent) protocol and
-// liveness pings.
+// version, flags, message type, body size) followed by a CDR body. Beyond
+// Request/Reply there are liveness pings; the smart agent is spoken to in
+// Requests (plat::NameServer).
 #pragma once
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 
 #include "common/bytes.h"
 #include "common/value.h"
+#include "platform/core/runtime.h"
 
 namespace cqos::corba {
 
@@ -19,20 +20,6 @@ enum class MsgType : std::uint8_t {
   kReply = 1,
   kPing = 7,
   kPong = 8,
-  kAgentRegister = 10,
-  kAgentRegisterAck = 11,
-  kAgentLookup = 12,
-  kAgentLookupReply = 13,
-  kAgentUnregister = 14,
-};
-
-/// Interoperable object reference: where the object lives and under which
-/// adapter key it is registered.
-struct Ior {
-  std::string endpoint;    // server ORB endpoint id
-  std::string object_key;  // "<poa_name>/<object_id>"
-
-  bool valid() const { return !endpoint.empty(); }
 };
 
 struct GiopHeader {
@@ -77,29 +64,7 @@ struct ReplyBody {
 Bytes encode_reply(std::uint64_t request_id, const ReplyBody& body);
 ReplyBody decode_reply_body(ByteReader& r);
 
-// --- agent (naming) bodies ---------------------------------------------------
-
-Bytes encode_agent_register(std::uint64_t request_id, const std::string& reply_to,
-                            const std::string& poa_name,
-                            const std::string& object_id, const Ior& ior);
-Bytes encode_agent_unregister(std::uint64_t request_id,
-                              const std::string& reply_to,
-                              const std::string& poa_name,
-                              const std::string& object_id);
-Bytes encode_agent_lookup(std::uint64_t request_id, const std::string& reply_to,
-                          const std::string& poa_name,
-                          const std::string& object_id);
-Bytes encode_agent_ack(std::uint64_t request_id, bool ok);
-Bytes encode_agent_lookup_reply(std::uint64_t request_id, const Ior& ior);
-
-struct AgentRequest {
-  std::string reply_to;
-  std::string poa_name;
-  std::string object_id;
-  Ior ior;  // only for register
-};
-AgentRequest decode_agent_request(ByteReader& r, MsgType type);
-bool decode_agent_ack(ByteReader& r);
-Ior decode_agent_lookup_reply(ByteReader& r);
+/// GIOP as the runtime's (and the smart agent's) codec.
+const plat::Codec& giop_codec();
 
 }  // namespace cqos::corba

@@ -10,33 +10,23 @@
 //   - DSI: servants registered in kDsi mode receive their parameters through
 //     an extra Any-extraction copy, modeling the dynamic skeleton interface
 //     the CQoS skeleton uses.
+// The request/reply runtime and the smart-agent client are plat::Runtime's;
+// the ORB adds the GIOP codec, its naming convention, DII, DSI and their
+// emulated costs.
 #pragma once
 
-#include <atomic>
-#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
-#include "cactus/thread_pool.h"
-#include "net/transport.h"
-#include "platform/api.h"
+#include "platform/core/runtime.h"
 #include "platform/corba/giop.h"
-#include "platform/pending.h"
-
-#include "common/sync.h"
-#include "common/thread_annotations.h"
 
 namespace cqos::corba {
 
-struct OrbConfig {
+struct OrbConfig : plat::RuntimeConfig {
   /// Host the smart agent runs on (endpoint "<host>/osagent").
   std::string agent_host = "nameserver";
-  /// Worker threads for server-side request dispatch.
-  int server_threads = 8;
-  /// Non-empty: traffic-class dispatch (per-class bounded WRR queues,
-  /// immediate backpressure reply when a class queue is full).
-  std::vector<cactus::TrafficClass> dispatch_classes;
-  Duration ping_timeout = ms(60);
   Duration resolve_timeout = ms(500);
 
   /// Testbed-emulation cost model (all zero by default). The benchmarks set
@@ -56,119 +46,73 @@ class CorbaOrb;
 /// invoke() then marshals the list into a GIOP frame.
 class CorbaRequest {
  public:
-  CorbaRequest(CorbaOrb& orb, Ior target, std::string operation);
+  /// A request for `operation` on the object at ORB endpoint `endpoint`
+  /// under adapter key `object_key` (what an IOR carries).
+  CorbaRequest(CorbaOrb& orb, std::string endpoint, std::string object_key,
+               std::string operation)
+      : orb_(orb),
+        endpoint_(std::move(endpoint)),
+        object_key_(std::move(object_key)),
+        operation_(std::move(operation)) {}
 
   /// Append an input argument (deep copy, as CORBA's Any insertion does).
-  void add_in_arg(const Value& v);
-  void set_service_context(const PiggybackMap& pb);
+  void add_in_arg(const Value& v) {
+    nvlist_.emplace_back("arg" + std::to_string(nvlist_.size()), v);
+  }
 
-  /// Marshal and send; blocks for the reply.
-  plat::Reply invoke(Duration timeout);
+  /// Marshal with `service_context` and send; blocks for the reply.
+  plat::Reply invoke(const PiggybackMap& service_context, Duration timeout);
 
  private:
-  struct NamedValue {
-    std::string name;
-    Value value;
-  };
-
   CorbaOrb& orb_;
-  Ior target_;
+  std::string endpoint_;
+  std::string object_key_;
   std::string operation_;
-  std::vector<NamedValue> nvlist_;
-  PiggybackMap service_context_;
+  std::vector<std::pair<std::string, Value>> nvlist_;  // (name, Any)
 };
 
-class CorbaObjectRef : public plat::ObjectRef {
+class CorbaOrb : public plat::Runtime {
  public:
-  CorbaObjectRef(CorbaOrb& orb, Ior ior) : orb_(orb), ior_(std::move(ior)) {}
+  CorbaOrb(net::Transport& network, const std::string& host,
+           OrbConfig cfg = {});
+  ~CorbaOrb() override { shutdown(); }
 
-  plat::Reply invoke(const std::string& method, const ValueList& params,
-                     const PiggybackMap& piggyback, Duration timeout) override;
-  plat::Reply invoke_dynamic(const std::string& method,
-                             const ValueList& params,
-                             const PiggybackMap& piggyback,
-                             Duration timeout) override;
-  bool ping(Duration timeout) override;
-  std::string description() const override;
-
-  const Ior& ior() const { return ior_; }
-
- private:
-  CorbaOrb& orb_;
-  Ior ior_;
-};
-
-class CorbaOrb : public plat::Platform {
- public:
-  CorbaOrb(net::Transport& network, std::string host, OrbConfig cfg = {});
-  ~CorbaOrb() override;
-
-  CorbaOrb(const CorbaOrb&) = delete;
-  CorbaOrb& operator=(const CorbaOrb&) = delete;
-
-  // --- plat::Platform -------------------------------------------------------
   std::string name() const override { return "corba"; }
   std::string replica_name(const std::string& object_id,
-                           int replica) const override;
-  std::string direct_name(const std::string& object_id) const override;
+                           int replica) const override {
+    // Paper §4.1: POA for the i-th replica of object OID is
+    // "OID_agent_poa_i"; all replicas share the object id
+    // "OID_CQoS_Skeleton".
+    return object_id + "_agent_poa_" + std::to_string(replica) + "/" +
+           object_id + "_CQoS_Skeleton";
+  }
+  std::string direct_name(const std::string& object_id) const override {
+    return object_id + "_poa/" + object_id;
+  }
+  /// Checks the "<poa>/<object-id>" form, then resolves at the agent.
   std::shared_ptr<plat::ObjectRef> resolve(const std::string& name,
                                            Duration timeout) override;
+  /// Checks the "<poa>/<object-id>" form, then registers with the agent.
   void register_servant(const std::string& name,
                         std::shared_ptr<plat::ServantHandler> handler,
                         plat::DispatchMode mode) override;
-  void unregister_servant(const std::string& name) override;
-  void shutdown() override;
 
-  const std::string& host() const { return host_; }
-
-  /// Charge an emulated CPU cost to this host: hold the host's (emulated)
-  /// CPU for `d`. Implemented as sleep-under-mutex so concurrent work on the
-  /// same simulated machine serializes without burning the real core.
-  void emu_charge(Duration d);
+ protected:
+  /// Genuine DII: populate a CorbaRequest (copies each argument into the
+  /// NVList), then marshal it.
+  plat::Reply call_dynamic(const std::string& endpoint,
+                           const std::string& target,
+                           const std::string& method, const ValueList& params,
+                           const PiggybackMap& pb, Duration timeout) override;
+  /// DSI: the POA hands the dynamic skeleton a ServerRequest whose arguments
+  /// must be extracted from Anys — an extra deep copy per parameter compared
+  /// to the generated-skeleton path.
+  void dsi_extract(ValueList& params) override;
 
  private:
   friend class CorbaRequest;
-  friend class CorbaObjectRef;
 
-  struct Registration {
-    std::shared_ptr<plat::ServantHandler> handler;
-    plat::DispatchMode mode;
-  };
-
-  /// Address `body` to `target`, marshal it under its pending-call id, send
-  /// it and block for the correlated reply.
-  plat::Reply transact(const Ior& target, RequestBody& body, Duration timeout);
-  plat::Reply call_static(const Ior& target, const std::string& method,
-                          const ValueList& params, const PiggybackMap& pb,
-                          Duration timeout);
-  bool ping_target(const Ior& target, Duration timeout);
-  Ior agent_lookup(const std::string& poa_name, const std::string& object_id,
-                   Duration timeout);
-  bool agent_register(const std::string& poa_name, const std::string& object_id,
-                      const Ior& ior, bool unregister, Duration timeout);
-
-  // Endpoint handlers (net::Endpoint::Handler contract): decode, then
-  // complete a pending call, plat::dispatch_request() or send a reply.
-  void on_client_message(net::Message&& msg);
-  void on_server_message(net::Message&& msg);
-  void dispatch_request(std::uint64_t request_id, RequestBody body);
-
-  net::Transport& network_;
-  std::string host_;
   OrbConfig cfg_;
-  std::string agent_endpoint_;
-
-  std::shared_ptr<net::Endpoint> client_ep_;
-  std::shared_ptr<net::Endpoint> server_ep_;
-  plat::PendingCalls pending_;
-
-  Mutex servants_mu_;
-  std::map<std::string, Registration> servants_
-      CQOS_GUARDED_BY(servants_mu_);
-
-  cactus::PriorityThreadPool workers_;
-  Mutex emu_cpu_mu_;  // serializes the emulated-CPU critical section
-  std::atomic<bool> shutdown_{false};
 };
 
 }  // namespace cqos::corba

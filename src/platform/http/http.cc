@@ -1,11 +1,8 @@
 #include "platform/http/http.h"
 
 #include <charconv>
-#include <sstream>
 
 #include "common/error.h"
-#include "common/log.h"
-#include "common/priority.h"
 
 namespace cqos::http {
 
@@ -123,28 +120,20 @@ Parsed parse(const Bytes& payload) {
   if (header_end == std::string_view::npos) {
     throw DecodeError("http: missing header terminator");
   }
-  std::string_view head_block = text.substr(0, header_end);
   std::size_t body_offset = header_end + 4;
 
-  // Split header lines.
-  std::vector<std::string_view> lines;
-  std::size_t pos = 0;
-  while (pos < head_block.size()) {
-    auto eol = head_block.find("\r\n", pos);
-    if (eol == std::string_view::npos) eol = head_block.size();
-    lines.push_back(head_block.substr(pos, eol - pos));
-    pos = eol + 2;
-  }
-  if (lines.empty()) throw DecodeError("http: empty message");
-
-  std::map<std::string, std::string> headers;
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    auto colon = lines[i].find(": ");
+  // The start line, then "Key: value" header lines.
+  std::string_view start = text.substr(0, text.find("\r\n"));
+  std::map<std::string, std::string, std::less<>> headers;
+  for (std::size_t pos = start.size() + 2; pos < header_end;) {
+    std::size_t eol = text.find("\r\n", pos);
+    std::string_view line = text.substr(pos, eol - pos);
+    auto colon = line.find(": ");
     if (colon == std::string_view::npos) {
       throw DecodeError("http: malformed header line");
     }
-    headers.emplace(std::string(lines[i].substr(0, colon)),
-                    std::string(lines[i].substr(colon + 2)));
+    headers.emplace(line.substr(0, colon), line.substr(colon + 2));
+    pos = eol + 2;
   }
 
   auto header = [&](const char* key) -> const std::string& {
@@ -155,42 +144,42 @@ Parsed parse(const Bytes& payload) {
     return it->second;
   };
 
-  std::size_t content_length = 0;
-  {
-    const std::string& raw = header("Content-Length");
+  // A whole-field decimal, or DecodeError (no std::stoull exceptions).
+  auto number = [&](const char* key) -> std::uint64_t {
+    const std::string& raw = header(key);
+    std::uint64_t value = 0;
     auto [ptr, ec] =
-        std::from_chars(raw.data(), raw.data() + raw.size(), content_length);
-    if (ec != std::errc()) throw DecodeError("http: bad Content-Length");
-  }
-  if (body_offset + content_length > payload.size()) {
+        std::from_chars(raw.data(), raw.data() + raw.size(), value);
+    if (ec != std::errc() || ptr != raw.data() + raw.size()) {
+      throw DecodeError(std::string("http: bad ") + key);
+    }
+    return value;
+  };
+
+  std::uint64_t content_length = number("Content-Length");
+  if (content_length > payload.size() - body_offset) {
     throw DecodeError("http: truncated body");
   }
-  Bytes body(payload.begin() + static_cast<std::ptrdiff_t>(body_offset),
-             payload.begin() +
-                 static_cast<std::ptrdiff_t>(body_offset + content_length));
+  auto body = std::span(payload).subspan(body_offset, content_length);
 
   Parsed parsed;
-  std::string_view start = lines[0];
+  parsed.call_id = number("X-Call-Id");
   if (start.starts_with("POST /")) {
     parsed.kind = Parsed::Kind::kRequest;
     auto space = start.find(' ', 6);
     if (space == std::string_view::npos) throw DecodeError("http: bad request line");
     parsed.path = std::string(start.substr(6, space - 6));
-    parsed.call_id = std::stoull(header("X-Call-Id"));
     parsed.reply_to = header("X-Reply-To");
     parsed.method = header("X-Method");
     parsed.piggyback = decode_pb_header(header("X-Piggyback"));
     parsed.params = Value::decode_list(body);
   } else if (start.starts_with("PING ")) {
     parsed.kind = Parsed::Kind::kPing;
-    parsed.call_id = std::stoull(header("X-Call-Id"));
     parsed.reply_to = header("X-Reply-To");
   } else if (start.starts_with("CQOS/1.0 204")) {
     parsed.kind = Parsed::Kind::kPong;
-    parsed.call_id = std::stoull(header("X-Call-Id"));
   } else if (start.starts_with("CQOS/1.0 ")) {
     parsed.kind = Parsed::Kind::kResponse;
-    parsed.call_id = std::stoull(header("X-Call-Id"));
     parsed.piggyback = decode_pb_header(header("X-Piggyback"));
     parsed.ok = start.substr(9, 3) == "200";
     if (parsed.ok) {
@@ -206,65 +195,79 @@ Parsed parse(const Bytes& payload) {
   return parsed;
 }
 
+namespace {
+
+class HttpCodec : public plat::Codec {
+ public:
+  plat::Frame decode(const Bytes& bytes) const override {
+    Parsed p = parse(bytes);
+    switch (p.kind) {
+      case Parsed::Kind::kRequest:
+        return plat::Frame::request(p.call_id, std::move(p.reply_to),
+                                    std::move(p.path), std::move(p.method),
+                                    std::move(p.piggyback),
+                                    std::move(p.params));
+      case Parsed::Kind::kResponse:
+        return plat::Frame::answer(p.call_id, p.ok, std::move(p.result),
+                                   std::move(p.error), std::move(p.piggyback));
+      case Parsed::Kind::kPing:
+        return plat::Frame::ping(p.call_id, std::move(p.reply_to));
+      case Parsed::Kind::kPong:
+        break;
+    }
+    return plat::Frame::answer(p.call_id, true);  // the pong
+  }
+
+  Bytes encode_request(std::uint64_t id, const std::string& reply_to,
+                       const std::string& target, const std::string& method,
+                       const PiggybackMap& pb,
+                       const ValueList& params) const override {
+    return wire::encode_request(id, reply_to, target, method, pb, params);
+  }
+  Bytes encode_reply(std::uint64_t id,
+                     const plat::Reply& reply) const override {
+    return encode_response(id, reply.ok(), reply.result, reply.error,
+                           reply.piggyback);
+  }
+  Bytes encode_ping(std::uint64_t id,
+                    const std::string& reply_to) const override {
+    return wire::encode_ping(id, reply_to);
+  }
+  Bytes encode_pong(std::uint64_t id) const override {
+    return wire::encode_pong(id);
+  }
+  std::string not_found(const std::string& target) const override {
+    return "404 Not Found: /" + target;
+  }
+};
+
+}  // namespace
+
+const plat::Codec& codec() {
+  static const HttpCodec codec;
+  return codec;
+}
+
 }  // namespace wire
-
-// --- HttpObjectRef -----------------------------------------------------------------
-
-plat::Reply HttpObjectRef::invoke(const std::string& method,
-                                  const ValueList& params,
-                                  const PiggybackMap& piggyback,
-                                  Duration timeout) {
-  return platform_.call(endpoint_, path_, method, params, piggyback, timeout);
-}
-
-bool HttpObjectRef::ping(Duration timeout) {
-  return platform_.ping_endpoint(endpoint_, timeout);
-}
-
-std::string HttpObjectRef::description() const {
-  return "http://" + net::Transport::host_of(endpoint_) + "/" + path_;
-}
 
 // --- HttpPlatform ------------------------------------------------------------------
 
 namespace {
-std::atomic<int> g_http_instance{0};
+
+/// The path of "http://<host>/<path>"; `name` itself when it is not a URL
+/// with a path.
+std::string url_path(const std::string& name) {
+  auto slash = name.starts_with("http://") ? name.find('/', 7)
+                                           : std::string::npos;
+  return slash == std::string::npos ? name : name.substr(slash + 1);
+}
+
 }  // namespace
 
-HttpPlatform::HttpPlatform(net::Transport& network, std::string host,
+HttpPlatform::HttpPlatform(net::Transport& network, const std::string& host,
                            HttpConfig cfg)
-    : network_(network),
-      host_(std::move(host)),
-      cfg_(std::move(cfg)),
-      workers_(cfg_.server_threads, cfg_.dispatch_classes,
-               host_ + "-http-workers") {
-  int instance = g_http_instance.fetch_add(1);
-  client_ep_ = network_.create_endpoint(host_ + "/httpcli" + std::to_string(instance));
-  // The server side listens on the host's well-known port-0 endpoint so
-  // other hosts can address it by convention.
-  server_ep_ = network_.create_endpoint(host_ + "/http");
-  client_ep_->set_handler(
-      [this](net::Message&& msg) { on_client_message(std::move(msg)); });
-  server_ep_->set_handler(
-      [this](net::Message&& msg) { on_server_message(std::move(msg)); });
-}
-
-HttpPlatform::~HttpPlatform() { shutdown(); }
-
-const std::string& HttpPlatform::server_endpoint() const {
-  return server_ep_->id();
-}
-
-void HttpPlatform::shutdown() {
-  if (shutdown_.exchange(true)) return;
-  // close() waits out in-flight handlers, so none can submit to the pool
-  // once it shuts down.
-  client_ep_->close();
-  server_ep_->close();
-  network_.remove_endpoint(server_ep_->id());
-  workers_.shutdown();
-  pending_.fail_all("http shutdown");
-}
+    : Runtime(network, host, "http", wire::codec(), cfg, "", {}),
+      cfg_(std::move(cfg)) {}
 
 std::shared_ptr<plat::ObjectRef> HttpPlatform::resolve(const std::string& name,
                                                        Duration timeout) {
@@ -275,141 +278,20 @@ std::shared_ptr<plat::ObjectRef> HttpPlatform::resolve(const std::string& name,
   if (slash == std::string::npos || slash == 0 || slash + 1 >= rest.size()) {
     throw NameNotFound("http names are 'http://<host>/<object>': " + name);
   }
-  std::string target_host = rest.substr(0, slash);
-  std::string path = rest.substr(slash + 1);
-  return std::make_shared<HttpObjectRef>(*this, target_host + "/http", path);
+  return make_ref(rest.substr(0, slash) + "/http", rest.substr(slash + 1));
 }
 
-void HttpPlatform::register_servant(const std::string& name,
-                                    std::shared_ptr<plat::ServantHandler> handler,
-                                    plat::DispatchMode mode) {
-  (void)mode;  // HTTP has no DSI/static distinction
-  std::string path = name;
-  if (path.starts_with("http://")) {
-    auto slash = path.find('/', 7);
-    if (slash == std::string::npos) {
-      throw ConfigError("http: cannot register URL without path: " + name);
-    }
-    path = path.substr(slash + 1);
+void HttpPlatform::register_servant(
+    const std::string& name, std::shared_ptr<plat::ServantHandler> handler,
+    plat::DispatchMode mode) {
+  if (name.starts_with("http://") && name.find('/', 7) == std::string::npos) {
+    throw ConfigError("http: cannot register URL without path: " + name);
   }
-  MutexLock lk(servants_mu_);
-  servants_[path] = std::move(handler);
+  Runtime::register_servant(url_path(name), std::move(handler), mode);
 }
 
 void HttpPlatform::unregister_servant(const std::string& name) {
-  std::string path = name;
-  if (path.starts_with("http://")) {
-    auto slash = path.find('/', 7);
-    if (slash != std::string::npos) path = path.substr(slash + 1);
-  }
-  MutexLock lk(servants_mu_);
-  servants_.erase(path);
-}
-
-plat::Reply HttpPlatform::call(const std::string& endpoint,
-                               const std::string& path,
-                               const std::string& method,
-                               const ValueList& params, const PiggybackMap& pb,
-                               Duration timeout) {
-  return pending_.call(timeout, [&](std::uint64_t id) {
-    return network_.send(
-        client_ep_->id(), endpoint,
-        wire::encode_request(id, client_ep_->id(), path, method, pb, params));
-  });
-}
-
-bool HttpPlatform::ping_endpoint(const std::string& endpoint, Duration timeout) {
-  return pending_.call(timeout, [&](std::uint64_t id) {
-    return network_.send(client_ep_->id(), endpoint,
-                         wire::encode_ping(id, client_ep_->id()));
-  }).ok();
-}
-
-void HttpPlatform::on_client_message(net::Message&& msg) {
-  net::PayloadRecycler recycle_payload(msg);
-  try {
-    wire::Parsed parsed = wire::parse(msg.payload);
-    plat::Reply reply;
-    switch (parsed.kind) {
-      case wire::Parsed::Kind::kResponse:
-        reply.status = parsed.ok ? plat::ReplyStatus::kOk
-                                 : plat::ReplyStatus::kAppError;
-        reply.result = std::move(parsed.result);
-        reply.error = std::move(parsed.error);
-        reply.piggyback = std::move(parsed.piggyback);
-        break;
-      case wire::Parsed::Kind::kPong:
-        reply.status = plat::ReplyStatus::kOk;
-        break;
-      default:
-        CQOS_LOG_WARN("http client handler: unexpected message kind");
-        return;
-    }
-    pending_.complete(parsed.call_id, std::move(reply));
-  } catch (const std::exception& e) {
-    CQOS_LOG_ERROR("http client handler: ", e.what());
-  }
-}
-
-void HttpPlatform::on_server_message(net::Message&& msg) {
-  net::PayloadRecycler recycle_payload(msg);
-  try {
-    wire::Parsed parsed = wire::parse(msg.payload);
-    if (parsed.kind == wire::Parsed::Kind::kPing) {
-      network_.send(server_ep_->id(), parsed.reply_to,
-                    wire::encode_pong(parsed.call_id));
-      return;
-    }
-    if (parsed.kind != wire::Parsed::Kind::kRequest) {
-      CQOS_LOG_WARN("http server handler: unexpected message kind");
-      return;
-    }
-    // Classify by the piggybacked priority before a worker is committed;
-    // legacy single-queue mode never rejects.
-    int prio = plat::piggyback_priority(parsed.piggyback, kNormalPriority);
-    std::uint64_t call_id = parsed.call_id;
-    std::string reply_to = parsed.reply_to;
-    auto res = plat::dispatch_request(
-        workers_, prio, [this, parsed = std::move(parsed)]() mutable {
-          dispatch(parsed.call_id, parsed.reply_to, parsed.path,
-                   parsed.method, std::move(parsed.piggyback),
-                   std::move(parsed.params));
-        });
-    if (res == cactus::SubmitResult::kRejected) {
-      PiggybackMap pb;
-      pb[plat::kStatusPiggybackKey] = Value(plat::kStatusOverloadRejected);
-      network_.send(server_ep_->id(), reply_to,
-                    wire::encode_response(
-                        call_id, false, Value(),
-                        std::string(status::kOverloadRejected) +
-                            ": http dispatch queue full",
-                        pb));
-    }
-  } catch (const std::exception& e) {
-    CQOS_LOG_ERROR("http server handler: ", e.what());
-  }
-}
-
-void HttpPlatform::dispatch(std::uint64_t call_id, const std::string& reply_to,
-                            const std::string& path, const std::string& method,
-                            PiggybackMap piggyback, ValueList params) {
-  std::shared_ptr<plat::ServantHandler> handler;
-  {
-    MutexLock lk(servants_mu_);
-    auto it = servants_.find(path);
-    if (it != servants_.end()) handler = it->second;
-  }
-  Bytes frame;
-  if (!handler) {
-    frame = wire::encode_response(call_id, false, Value(),
-                                  "404 Not Found: /" + path, {});
-  } else {
-    plat::Reply out =
-        handler->handle(method, std::move(params), std::move(piggyback));
-    frame = wire::encode_response(call_id, out.ok(), out.result, out.error,
-                                  out.piggyback);
-  }
-  network_.send(server_ep_->id(), reply_to, std::move(frame));
+  Runtime::unregister_servant(url_path(name));
 }
 
 }  // namespace cqos::http

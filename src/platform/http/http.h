@@ -29,28 +29,15 @@
 // PING /<anything> CQOS/1.0 elicits "CQOS/1.0 204 Alive".
 #pragma once
 
-#include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 
-#include "cactus/thread_pool.h"
-#include "net/transport.h"
-#include "platform/api.h"
-#include "platform/pending.h"
-
-#include "common/sync.h"
-#include "common/thread_annotations.h"
+#include "platform/core/runtime.h"
 
 namespace cqos::http {
 
-struct HttpConfig {
-  int server_threads = 8;
-  /// Non-empty: traffic-class dispatch (per-class bounded WRR queues,
-  /// immediate backpressure reply when a class queue is full).
-  std::vector<cactus::TrafficClass> dispatch_classes;
-  Duration resolve_timeout = ms(500);
+struct HttpConfig : plat::RuntimeConfig {
   /// Host that serves replica i (1-based) of any object. Defaults to the
   /// cluster convention "server<i-1>" — the DNS-style deployment knowledge
   /// a web client would configure.
@@ -60,31 +47,13 @@ struct HttpConfig {
   std::string direct_host = "server0";
 };
 
-class HttpPlatform;
-
-class HttpObjectRef : public plat::ObjectRef {
+/// The request/reply runtime is plat::Runtime; HTTP adds its text codec and
+/// URL naming. The server endpoint is the host's well-known "<host>/http".
+class HttpPlatform : public plat::Runtime {
  public:
-  HttpObjectRef(HttpPlatform& platform, std::string endpoint, std::string path)
-      : platform_(platform), endpoint_(std::move(endpoint)), path_(std::move(path)) {}
-
-  plat::Reply invoke(const std::string& method, const ValueList& params,
-                     const PiggybackMap& piggyback, Duration timeout) override;
-  bool ping(Duration timeout) override;
-  std::string description() const override;
-
- private:
-  HttpPlatform& platform_;
-  std::string endpoint_;  // "<host>/http<k>"
-  std::string path_;      // object name
-};
-
-class HttpPlatform : public plat::Platform {
- public:
-  HttpPlatform(net::Transport& network, std::string host, HttpConfig cfg = {});
-  ~HttpPlatform() override;
-
-  HttpPlatform(const HttpPlatform&) = delete;
-  HttpPlatform& operator=(const HttpPlatform&) = delete;
+  HttpPlatform(net::Transport& network, const std::string& host,
+               HttpConfig cfg = {});
+  ~HttpPlatform() override { shutdown(); }
 
   std::string name() const override { return "http"; }
 
@@ -103,46 +72,14 @@ class HttpPlatform : public plat::Platform {
                                            Duration timeout) override;
 
   /// Registration key is the path component of the URL (or a plain name).
+  /// HTTP has no DSI/static distinction; the mode costs nothing.
   void register_servant(const std::string& name,
                         std::shared_ptr<plat::ServantHandler> handler,
                         plat::DispatchMode mode) override;
   void unregister_servant(const std::string& name) override;
-  void shutdown() override;
-
-  const std::string& host() const { return host_; }
-  /// This platform's well-known server endpoint ("<host>/http<k>").
-  const std::string& server_endpoint() const;
 
  private:
-  friend class HttpObjectRef;
-
-  plat::Reply call(const std::string& endpoint, const std::string& path,
-                   const std::string& method, const ValueList& params,
-                   const PiggybackMap& pb, Duration timeout);
-  bool ping_endpoint(const std::string& endpoint, Duration timeout);
-
-  // Endpoint handlers (net::Endpoint::Handler contract): decode, then
-  // complete a pending call, plat::dispatch_request() or send a reply.
-  void on_client_message(net::Message&& msg);
-  void on_server_message(net::Message&& msg);
-  void dispatch(std::uint64_t call_id, const std::string& reply_to,
-                const std::string& path, const std::string& method,
-                PiggybackMap piggyback, ValueList params);
-
-  net::Transport& network_;
-  std::string host_;
   HttpConfig cfg_;
-
-  std::shared_ptr<net::Endpoint> client_ep_;
-  std::shared_ptr<net::Endpoint> server_ep_;
-  plat::PendingCalls pending_;
-
-  Mutex servants_mu_;
-  std::map<std::string, std::shared_ptr<plat::ServantHandler>> servants_
-      CQOS_GUARDED_BY(servants_mu_);
-
-  cactus::PriorityThreadPool workers_;
-  std::atomic<bool> shutdown_{false};
 };
 
 /// Exposed for wire-format tests.
@@ -173,6 +110,9 @@ struct Parsed {
 
 /// Throws DecodeError on malformed messages.
 Parsed parse(const Bytes& payload);
+
+/// The text protocol as the runtime's codec (decode() is parse()).
+const plat::Codec& codec();
 }  // namespace wire
 
 }  // namespace cqos::http

@@ -1,11 +1,11 @@
-// Request/reply correlation for the three platform runtimes, and the one
-// place that decides where a request runs (caller-runs dispatch, DESIGN.md
-// §8): PendingCalls::call() marks its thread as a waiting caller around its
-// send, and a server handler reached by that send on the same thread runs
-// the dispatch right there (dispatch_request) instead of handing it to a
-// worker while the caller parks. That inline dispatch is the one endpoint
-// handler that blocks; threads without the mark (the TCP loop thread, the
-// simulator's delivery thread) always hand off to the pool.
+// Request/reply correlation for the platform runtime (platform/core), and
+// the mark that lets it decide where a request runs (caller-runs dispatch,
+// DESIGN.md §8): PendingCalls::call() marks its thread as a waiting caller
+// around its send, and a server handler reached by that send on the same
+// thread runs the dispatch right there (Runtime::on_server_message) instead
+// of handing it to a worker while the caller parks. That inline dispatch is
+// the one endpoint handler that blocks; threads without the mark (the TCP
+// loop thread, the simulator's delivery thread) always hand off to the pool.
 #pragma once
 
 #include <cstdint>
@@ -14,9 +14,7 @@
 #include <string>
 #include <utility>
 
-#include "cactus/thread_pool.h"
 #include "common/clock.h"
-#include "common/metrics.h"
 #include "common/sync.h"
 #include "common/thread_annotations.h"
 #include "platform/api.h"
@@ -122,28 +120,5 @@ class PendingCalls {
   std::map<std::uint64_t, std::shared_ptr<Entry>> calls_ CQOS_GUARDED_BY(mu_);
   std::uint64_t next_id_ CQOS_GUARDED_BY(mu_) = 1;
 };
-
-/// Server-handler side: run `task` (the dispatch of one decoded request) on
-/// this thread if it is the request's own waiting caller and `pool` has a
-/// free slot with nothing queued; otherwise try_submit it to `pool`. Counts
-/// plat.dispatch.inline / plat.dispatch.pooled. Returns the pool's verdict
-/// (kAccepted for an inline run).
-template <class Task>
-cactus::SubmitResult dispatch_request(cactus::PriorityThreadPool& pool,
-                                      int priority, Task&& task) {
-  static metrics::Counter& inline_runs =
-      metrics::Registry::global().counter("plat.dispatch.inline");
-  static metrics::Counter& pooled =
-      metrics::Registry::global().counter("plat.dispatch.pooled");
-  if (std::exchange(detail::t_waiting_caller, false) &&
-      pool.try_run_inline(priority, task)) {
-    inline_runs.inc();
-    return cactus::SubmitResult::kAccepted;
-  }
-  cactus::SubmitResult res =
-      pool.try_submit(priority, std::forward<Task>(task));
-  if (res == cactus::SubmitResult::kAccepted) pooled.inc();
-  return res;
-}
 
 }  // namespace cqos::plat

@@ -11,6 +11,7 @@
 
 #include "common/bytes.h"
 #include "common/value.h"
+#include "platform/core/runtime.h"
 
 namespace cqos::rmi {
 
@@ -19,11 +20,6 @@ enum class MsgType : std::uint8_t {
   kReturn = 2,
   kPing = 3,
   kPong = 4,
-  kRegBind = 5,
-  kRegLookup = 6,
-  kRegReply = 7,
-  kRegAck = 8,
-  kRegUnbind = 9,
 };
 
 inline constexpr std::uint8_t kMagic = 0x4a;  // 'J'
@@ -57,7 +53,10 @@ struct ReturnBody {
 Bytes encode_return(std::uint64_t call_id, const ReturnBody& body);
 ReturnBody decode_return_body(ByteReader& r);
 
-void encode_pb(ByteWriter& w, const PiggybackMap& pb);
-PiggybackMap decode_pb(ByteReader& r);
+/// The piggyback map travels in the Value codec's own format.
+inline PiggybackMap decode_pb(ByteReader& r) { return decode_piggyback(r); }
+
+/// JRMP as the runtime's (and the registry's) codec.
+const plat::Codec& jrmp_codec();
 
 }  // namespace cqos::rmi

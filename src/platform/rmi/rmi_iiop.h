@@ -5,9 +5,9 @@
 // above. To achieve this, RMI-IIOP stubs are simply replaced with customized
 // CQoS stubs for CORBA."
 //
-// RmiIiopRuntime is that configuration: an RMI-flavoured Platform whose
-// wire format, invocation paths (including genuine DII/DSI) and location
-// service are the ORB's. RMI registry names are mapped onto a dedicated POA
+// RmiIiopRuntime is that configuration: an ORB whose wire format, invocation
+// paths (including genuine DII/DSI) and location service are the ORB's, with
+// RMI names. RMI registry names are mapped onto a dedicated POA
 // ("rmi_iiop_poa"), so RMI-IIOP objects are reachable from plain CORBA
 // clients that resolve the same POA/object-id pair — the interoperability
 // RMI-IIOP exists for.
@@ -17,11 +17,9 @@
 
 namespace cqos::rmi {
 
-class RmiIiopRuntime : public plat::Platform {
+class RmiIiopRuntime : public corba::CorbaOrb {
  public:
-  RmiIiopRuntime(net::Transport& network, std::string host,
-                 corba::OrbConfig cfg = {})
-      : orb_(network, std::move(host), std::move(cfg)) {}
+  using CorbaOrb::CorbaOrb;
 
   std::string name() const override { return "rmi-iiop"; }
 
@@ -36,30 +34,7 @@ class RmiIiopRuntime : public plat::Platform {
     return std::string(kPoaName) + "/" + object_id;
   }
 
-  std::shared_ptr<plat::ObjectRef> resolve(const std::string& name,
-                                           Duration timeout) override {
-    return orb_.resolve(name, timeout);
-  }
-
-  void register_servant(const std::string& name,
-                        std::shared_ptr<plat::ServantHandler> handler,
-                        plat::DispatchMode mode) override {
-    orb_.register_servant(name, std::move(handler), mode);
-  }
-
-  void unregister_servant(const std::string& name) override {
-    orb_.unregister_servant(name);
-  }
-
-  void shutdown() override { orb_.shutdown(); }
-
-  /// The underlying ORB (for CORBA-side interop tests).
-  corba::CorbaOrb& orb() { return orb_; }
-
   static constexpr const char* kPoaName = "rmi_iiop_poa";
-
- private:
-  corba::CorbaOrb orb_;
 };
 
 }  // namespace cqos::rmi

@@ -162,8 +162,7 @@ std::unique_ptr<ClientHandle> Cluster::make_client(
           .servers(server_names(*handle->platform_))
           .invoke_timeout(opts_.invoke_timeout)
           .priority(stub_opts.priority)
-          .principal(stub_opts.principal)
-          .reuse_requests(stub_opts.reuse_requests);
+          .principal(stub_opts.principal);
   if (mode == EndpointMode::kFull) {
     builder
         .qos(client_specs_override != nullptr ? *client_specs_override

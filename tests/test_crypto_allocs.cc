@@ -1,13 +1,15 @@
-// Exact heap-allocation counts on the per-byte security path. This binary
-// replaces the global operator new with a counting one, so it stands alone:
-// the counts are deterministic, and a change that adds one allocation to
-// DES-CBC or HMAC fails here in every build, sanitizers included.
+// Exact heap-allocation counts on the per-byte security path and on the
+// tracer's off path. This binary replaces the global operator new with a
+// counting one, so it stands alone: the counts are deterministic, and a
+// change that adds one allocation to DES-CBC, HMAC or an untraced span
+// fails here in every build, sanitizers included.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
 
+#include "common/trace.h"
 #include "crypto/des.h"
 #include "crypto/sha256.h"
 
@@ -92,3 +94,26 @@ TEST(CryptoAllocs, HmacWithSeenKeyAllocatesNothing) {
 
 }  // namespace
 }  // namespace cqos::crypto
+
+namespace cqos::trace {
+namespace {
+
+// Names longer than any small-string buffer, so building a Span from them
+// would allocate.
+const std::string kName = "test.span.name.longer.than.a.small.string";
+const std::string kDetail = "a span detail that is also longer than that";
+
+TEST(TraceAllocs, SpanScopeAllocatesOnlyWhenRecorded) {
+  Tracer& tracer = Tracer::global();
+  const bool was_enabled = tracer.enabled();
+  tracer.set_enabled(false);
+  EXPECT_EQ(allocations_in([&] { ScopedSpan span(7, kName, kDetail); }), 0u);
+  tracer.set_enabled(true);
+  EXPECT_EQ(allocations_in([&] { ScopedSpan span(0, kName, kDetail); }), 0u);
+  // Control: a recorded span does allocate, so the counter sees spans.
+  EXPECT_GT(allocations_in([&] { ScopedSpan span(7, kName, kDetail); }), 0u);
+  tracer.set_enabled(was_enabled);
+}
+
+}  // namespace
+}  // namespace cqos::trace

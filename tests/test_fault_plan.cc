@@ -161,23 +161,5 @@ TEST(FaultController, ClearAllFaultsFlushesHeldMessages) {
   }
 }
 
-TEST(FaultController, ShimsForwardToController) {
-  SimNetwork net(quiet_config());
-  net.crash_host("hostC");
-  EXPECT_TRUE(net.faults().is_crashed("hostC"));
-  EXPECT_TRUE(net.is_crashed("hostC"));
-  net.recover_host("hostC");
-  EXPECT_FALSE(net.faults().is_crashed("hostC"));
-
-  net.partition("a", "b");
-  EXPECT_TRUE(net.faults().is_partitioned("a", "b"));
-  EXPECT_TRUE(net.faults().is_partitioned("b", "a"));
-  net.heal("a", "b");
-  EXPECT_FALSE(net.faults().is_partitioned("a", "b"));
-
-  net.set_drop_rate(0.25);
-  EXPECT_DOUBLE_EQ(net.faults().drop_rate(), 0.25);
-}
-
 }  // namespace
 }  // namespace cqos::net

@@ -66,6 +66,11 @@ TEST(HttpWire, MalformedMessagesRejected) {
   reject("no header terminator at all");
   reject("POST /x CQOS/1.0\r\nX-Call-Id: 1\r\nX-Reply-To: a\r\nX-Method: m\r\n"
          "X-Piggyback: 00\r\nContent-Length: 999\r\n\r\nshort");  // truncated
+  // Call ids that are not a u64: the parse error is a DecodeError too.
+  reject("PING / CQOS/1.0\r\nX-Call-Id: abc\r\nX-Reply-To: a\r\n"
+         "Content-Length: 0\r\n\r\n");
+  reject("PING / CQOS/1.0\r\nX-Call-Id: 99999999999999999999\r\n"
+         "X-Reply-To: a\r\nContent-Length: 0\r\n\r\n");
 }
 
 TEST(HttpWire, HexRoundtrip) {

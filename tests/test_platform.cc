@@ -8,6 +8,8 @@
 #include "platform/corba/cdr.h"
 #include "platform/corba/giop.h"
 #include "platform/corba/orb.h"
+#include "platform/core/runtime.h"
+#include "platform/http/http.h"
 #include "platform/rmi/jrmp.h"
 #include "platform/rmi/registry.h"
 #include "platform/rmi/rmi.h"
@@ -357,6 +359,63 @@ TEST(Jrmp, BadMagicRejected) {
   ByteReader r(frame);
   EXPECT_THROW(rmi::read_header(r), DecodeError);
 }
+
+// --- codec decode: a frame or a DecodeError, nothing else ----------------------
+
+struct CodecCase {
+  const char* name;
+  const plat::Codec& (*codec)();
+};
+
+class CodecDecode : public ::testing::TestWithParam<CodecCase> {};
+
+// Every truncation of a valid request, reply, ping and pong frame decodes
+// or throws DecodeError; no other exception, crash or hang. These frames
+// are the seeds of a decode fuzzer.
+TEST_P(CodecDecode, EveryTruncationIsAFrameOrADecodeError) {
+  const plat::Codec& codec = GetParam().codec();
+  PiggybackMap pb{{"cq.id", Value(7)}, {"cq.trace", Value("t-1")}};
+  ValueList params{Value(1), Value("two"), Value(Bytes{0, 255}),
+                   Value(ValueList{Value(3.5), Value()})};
+  plat::Reply ok;
+  ok.status = plat::ReplyStatus::kOk;
+  ok.result = Value("result");
+  ok.piggyback = pb;
+  plat::Reply failed;
+  failed.status = plat::ReplyStatus::kAppError;
+  failed.error = "boom";
+  const std::vector<std::pair<std::uint64_t, Bytes>> frames{
+      {41,
+       codec.encode_request(41, "cli/cli0", "poa/Obj", "do_it", pb, params)},
+      {42, codec.encode_reply(42, ok)},
+      {43, codec.encode_reply(43, failed)},
+      {44, codec.encode_ping(44, "cli/cli0")},
+      {45, codec.encode_pong(45)}};
+  for (const auto& [id, frame] : frames) {
+    EXPECT_EQ(codec.decode(frame).id, id);
+    for (std::size_t n = 0; n < frame.size(); ++n) {
+      Bytes prefix(frame.begin(),
+                   frame.begin() + static_cast<std::ptrdiff_t>(n));
+      try {
+        (void)codec.decode(prefix);
+      } catch (const DecodeError&) {
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "frame " << id << " cut to " << n << " bytes threw "
+                      << e.what();
+      } catch (...) {
+        ADD_FAILURE() << "frame " << id << " cut to " << n
+                      << " bytes threw a non-std exception";
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllCodecs, CodecDecode,
+    ::testing::Values(CodecCase{"jrmp", &rmi::jrmp_codec},
+                      CodecCase{"giop", &corba::giop_codec},
+                      CodecCase{"http", &http::wire::codec}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace cqos

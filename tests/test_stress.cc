@@ -160,7 +160,6 @@ TEST(StubStress, ConcurrentCallsThroughOneStubWithPool) {
   };
   sim::Cluster cluster(opts);
   CqosStub::Options stub_opts;
-  stub_opts.reuse_requests = true;  // the pool must be thread-safe
   auto client = cluster.make_client(stub_opts);
 
   constexpr int kThreads = 4, kCalls = 40;

@@ -199,7 +199,6 @@ TEST(StubUnit, RequestPoolReusesStructures) {
   auto skeleton = std::make_shared<CqosSkeleton>("Bank", servant);
   auto qos = std::make_shared<LoopbackClientQos>(skeleton);
   CqosStub::Options opts;
-  opts.reuse_requests = true;
   CqosStub stub(std::static_pointer_cast<ClientQosInterface>(qos), "Bank",
                 opts);
   // Sequential calls through the pool stay correct and independent.

@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -248,20 +249,41 @@ TEST(TcpTransport, OversizedSendRefused) {
 }
 
 TEST(TcpTransport, BackpressureDropsOnceQueueFills) {
+  // A loopback peer that never completes a connect: a listener with a
+  // backlog of 0 holds one connection, which nobody accepts. With its accept
+  // queue full the kernel drops further SYNs, so the transport's connect
+  // stays pending and frames pile up in its write queue until backpressure
+  // trips.
+  int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
+  socklen_t len = sizeof(sa);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&sa), len), 0);
+  ASSERT_EQ(::listen(listener, 0), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&sa), &len), 0);
+  int filler = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_EQ(::connect(filler, reinterpret_cast<sockaddr*>(&sa), len), 0);
+  pollfd queued{listener, POLLIN, 0};  // readable: the filler is queued
+  ASSERT_EQ(::poll(&queued, 1, 2000), 1);
+
   TcpOptions opts;
-  // Non-routable address (TEST-NET-1): the connect never completes, so
-  // frames pile up in the write queue until backpressure trips.
-  opts.peers["blackhole"] = "192.0.2.1:9";
+  opts.peers["stalled"] = "127.0.0.1:" + std::to_string(ntohs(sa.sin_port));
   opts.max_queued_bytes = 4 * 1024;
   opts.connect_timeout = ms(60'000);  // keep kConnecting for the whole test
-  TcpFixture fx(opts);
-  auto a = fx.t->create_endpoint("hostA/a");
-  bool saw_drop = false;
-  for (int i = 0; i < 64 && !saw_drop; ++i) {
-    saw_drop = !fx.t->send("hostA/a", "blackhole/b", Bytes(256, 0x11));
+  {
+    TcpFixture fx(opts);
+    auto a = fx.t->create_endpoint("hostA/a");
+    bool saw_drop = false;
+    for (int i = 0; i < 64 && !saw_drop; ++i) {
+      saw_drop = !fx.t->send("hostA/a", "stalled/b", Bytes(256, 0x11));
+    }
+    EXPECT_TRUE(saw_drop);
+    EXPECT_GE(fx.registry.counter("net.drop.backpressure").value(), 1u);
   }
-  EXPECT_TRUE(saw_drop);
-  EXPECT_GE(fx.registry.counter("net.drop.backpressure").value(), 1u);
+  ::close(filler);
+  ::close(listener);
 }
 
 TEST(TcpTransport, EndpointIdCollisionThrows) {
