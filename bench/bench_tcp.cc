@@ -110,8 +110,8 @@ PairStats pingpong(net::Transport& net, const std::string& from,
   return stats;
 }
 
-/// Raw round trip through one TcpTransport with self_loopback on: both
-/// endpoints are local, but every frame crosses a real kernel socket.
+/// Raw round trip through one TcpTransport's self pair: both endpoints are
+/// local, but every frame crosses a real kernel socket.
 PairStats run_loopback_raw(int pairs) {
   auto net = net::make_transport(net::TransportConfig::real_tcp());
   auto echo_ep = net->create_endpoint("loop0/echo");

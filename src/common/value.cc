@@ -33,7 +33,7 @@ void Value::encode(ByteWriter& w) const {
   }
 }
 
-Value Value::decode(ByteReader& r) {
+Value Value::decode(ByteReader& r, int depth) {
   auto tag = r.get_u8();
   switch (static_cast<Type>(tag)) {
     case Type::kNull:
@@ -49,11 +49,14 @@ Value Value::decode(ByteReader& r) {
     case Type::kBytes:
       return Value(r.get_blob());
     case Type::kList: {
+      if (depth >= kMaxNesting) throw DecodeError("lists nested too deep");
       std::uint64_t n = r.get_varint();
       if (n > r.remaining()) throw DecodeError("list length exceeds buffer");
       ValueList list;
       list.reserve(static_cast<std::size_t>(n));
-      for (std::uint64_t i = 0; i < n; ++i) list.push_back(decode(r));
+      for (std::uint64_t i = 0; i < n; ++i) {
+        list.push_back(decode(r, depth + 1));
+      }
       return Value(std::move(list));
     }
   }

@@ -59,8 +59,13 @@ class Value {
 
   /// Append the self-describing encoding (1 tag byte + payload).
   void encode(ByteWriter& w) const;
-  /// Parse one Value from the reader; throws DecodeError on malformed input.
-  static Value decode(ByteReader& r);
+  /// Lists nest at most this deep in a decoded value (here and in the CDR
+  /// Any decoder): a hostile frame must not recurse a decoder off the stack.
+  static constexpr int kMaxNesting = 64;
+  /// Parse one Value from the reader; throws DecodeError on malformed input,
+  /// including lists nested deeper than kMaxNesting. `depth` counts the
+  /// lists already open around this value.
+  static Value decode(ByteReader& r, int depth = 0);
 
   /// Exact byte count encode() will append (1 tag byte + payload). Lets
   /// writers reserve once up front instead of growing geometrically.

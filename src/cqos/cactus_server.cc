@@ -1,8 +1,12 @@
 #include "cqos/cactus_server.h"
 
+#include <algorithm>
+
+#include "cactus/thread_pool.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "cqos/events.h"
+#include "platform/pending.h"
 
 namespace cqos {
 namespace {
@@ -56,7 +60,21 @@ void CactusServer::process_request(const RequestPtr& req) {
     trace::ScopedSpan span(req->trace_id, "cqos.cactus.server.process",
                            req->method, &hist);
     proto_.raise(ev::kNewServerRequest, req);
-    if (!req->wait(process_timeout_)) {
+    bool done = req->is_done();
+    if (!done) {
+      // Parked (total order, scheduling) until another thread releases it.
+      // The wait lends this thread's dispatch slot, so the message that
+      // releases it (ordering info) can still be dispatched when every
+      // slot holds a parked request. Run on its waiting caller's thread, it
+      // is given up at the caller's deadline and the caller times out then,
+      // as against a server on another thread: that timeout is how a
+      // replicated client drops a replica that cannot keep up.
+      cactus::BlockingSection lend_slot;
+      Duration for_caller = plat::caller_deadline() - now();
+      done = req->wait(std::min(process_timeout_, for_caller));
+      if (!done && for_caller < process_timeout_) plat::caller_timed_out();
+    }
+    if (!done) {
       req->complete(false, Value(), "cqos: server-side processing timed out");
     }
   }

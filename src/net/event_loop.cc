@@ -44,15 +44,11 @@ void EventLoop::start() {
   if (started_) return;
   started_ = true;
   thread_ = std::thread([this] { run(); });
-  loop_thread_id_ = thread_.get_id();
 }
 
 void EventLoop::stop() {
   {
     MutexLock lk(mu_);
-    if (stopping_) {
-      // Already stopping/stopped; fall through to join below.
-    }
     stopping_ = true;
   }
   std::uint64_t one = 1;

@@ -60,10 +60,6 @@ class EventLoop {
   /// Jobs posted after stop() are silently dropped.
   void post(std::function<void()> fn);
 
-  bool on_loop_thread() const {
-    return std::this_thread::get_id() == loop_thread_id_;
-  }
-
  private:
   void run();
   void drain_jobs();
@@ -74,7 +70,6 @@ class EventLoop {
   std::function<void()> tick_;
   std::map<int, FdHandler> handlers_;  // loop thread only
   std::thread thread_;
-  std::thread::id loop_thread_id_;
 
   Mutex mu_;
   std::deque<std::function<void()>> jobs_ CQOS_GUARDED_BY(mu_);

@@ -255,13 +255,6 @@ void FaultController::run_plan(FaultPlan plan) {
   cv_.notify_all();
 }
 
-void FaultController::cancel_plan() {
-  MutexLock lk(mu_);
-  plan_active_ = false;
-  next_event_ = plan_.events.size();
-  cv_.notify_all();
-}
-
 bool FaultController::plan_active() const {
   MutexLock lk(mu_);
   return plan_active_;
@@ -520,31 +513,9 @@ bool FaultController::is_crashed(const std::string& host) const {
   return crashed_.contains(host);
 }
 
-bool FaultController::is_partitioned(const std::string& host_a,
-                                     const std::string& host_b) const {
-  auto pair = std::minmax(host_a, host_b);
-  MutexLock lk(mu_);
-  return partitions_.contains({pair.first, pair.second});
-}
-
 double FaultController::drop_rate() const {
   MutexLock lk(mu_);
   return drop_rate_;
-}
-
-double FaultController::duplicate_rate() const {
-  MutexLock lk(mu_);
-  return duplicate_rate_;
-}
-
-double FaultController::reorder_rate() const {
-  MutexLock lk(mu_);
-  return reorder_rate_;
-}
-
-int FaultController::reorder_window() const {
-  MutexLock lk(mu_);
-  return reorder_window_;
 }
 
 std::size_t FaultController::held_count() const {
@@ -552,26 +523,6 @@ std::size_t FaultController::held_count() const {
   std::size_t n = 0;
   for (const auto& [to, vec] : holds_) n += vec.size();
   return n;
-}
-
-std::string FaultController::describe() const {
-  MutexLock lk(mu_);
-  std::ostringstream os;
-  os << "faults{crashed=[";
-  bool first = true;
-  for (const auto& h : crashed_) {
-    if (!first) os << ',';
-    first = false;
-    os << h;
-  }
-  os << "] partitions=" << partitions_.size() << " drop=" << drop_rate_
-     << " dup=" << duplicate_rate_ << " reorder=" << reorder_rate_ << "/w"
-     << reorder_window_ << " bursts=" << bursts_.size()
-     << " spikes=" << spikes_.size();
-  std::size_t held = 0;
-  for (const auto& [to, vec] : holds_) held += vec.size();
-  os << " held=" << held << (plan_active_ ? " plan=active" : "") << "}";
-  return os.str();
 }
 
 // --- send-path hooks (called under SimNetwork::mu_) --------------------------

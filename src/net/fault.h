@@ -140,8 +140,6 @@ class FaultController {
   /// decisions are a deterministic function of (plan seed, each sender's
   /// traffic). Replaces any plan still running.
   void run_plan(FaultPlan plan);
-  /// Stop applying remaining events (already-applied state persists).
-  void cancel_plan();
   bool plan_active() const;
   /// Block until the current plan has applied its last event.
   bool wait_plan_done(Duration timeout);
@@ -177,16 +175,9 @@ class FaultController {
   // --- queries -------------------------------------------------------------
 
   bool is_crashed(const std::string& host) const;
-  bool is_partitioned(const std::string& host_a,
-                      const std::string& host_b) const;
   double drop_rate() const;
-  double duplicate_rate() const;
-  double reorder_rate() const;
-  int reorder_window() const;
   /// Messages currently held back for reordering.
   std::size_t held_count() const;
-  /// Human-readable summary of the current fault state.
-  std::string describe() const;
 
  private:
   friend class SimNetwork;

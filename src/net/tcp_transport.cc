@@ -3,11 +3,13 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <utility>
 
@@ -18,18 +20,18 @@ namespace cqos::net {
 
 namespace {
 
-/// Parse "ip:port" into a sockaddr_in. Throws Error on a malformed address.
+/// Parse "ip:port" into a sockaddr_in. Throws Error on a malformed address;
+/// the port is the whole field after the last ':', digits only.
 sockaddr_in parse_addr(const std::string& addr) {
   auto colon = addr.rfind(':');
   if (colon == std::string::npos) throw Error("tcp address needs ip:port, got " + addr);
   std::string ip = addr.substr(0, colon);
   int port = 0;
-  try {
-    port = std::stoi(addr.substr(colon + 1));
-  } catch (const std::exception&) {
+  const char* end = addr.data() + addr.size();
+  auto [ptr, ec] = std::from_chars(addr.data() + colon + 1, end, port);
+  if (ec != std::errc() || ptr != end || port < 1 || port > 65535) {
     throw Error("bad port in tcp address " + addr);
   }
-  if (port < 1 || port > 65535) throw Error("bad port in tcp address " + addr);
   sockaddr_in sa{};
   sa.sin_family = AF_INET;
   sa.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -60,26 +62,16 @@ TcpTransport::TcpTransport(TcpOptions cfg) : cfg_(std::move(cfg)) {
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in sa = parse_addr(cfg_.listen_address + ":1");
   sa.sin_port = htons(cfg_.listen_port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
+      ::listen(listen_fd_, 128) != 0) {
     std::string err = std::strerror(errno);
     ::close(listen_fd_);
-    throw Error("bind " + cfg_.listen_address + ":" +
+    throw Error("listen on " + cfg_.listen_address + ":" +
                 std::to_string(cfg_.listen_port) + ": " + err);
-  }
-  if (::listen(listen_fd_, 128) != 0) {
-    std::string err = std::strerror(errno);
-    ::close(listen_fd_);
-    throw Error("listen: " + err);
   }
   socklen_t len = sizeof(sa);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&sa), &len);
   listen_port_ = ntohs(sa.sin_port);
-  self_addr_ = cfg_.listen_address + ":" + std::to_string(listen_port_);
-
-  {
-    MutexLock lk(mu_);
-    peers_ = cfg_.peers;
-  }
 
   // The connect-timeout sweep needs a periodic wakeup; 50ms bounds how late
   // a timeout can fire without costing measurable idle CPU.
@@ -94,6 +86,10 @@ TcpTransport::~TcpTransport() {
   // tearing down connection records and fds below is race-free.
   loop_.stop();
   ::close(listen_fd_);
+  {
+    MutexLock self_lk(self_mu_);
+    close_self_locked();
+  }
   MutexLock lk(mu_);
   auto close_all = [](const ConnPtr& c) {
     if (c->state != Conn::State::kClosed && c->fd >= 0) ::close(c->fd);
@@ -124,15 +120,13 @@ void TcpTransport::remove_endpoint(const std::string& id) {
   ep->close();
 }
 
-void TcpTransport::add_peer(const std::string& host,
-                            const std::string& address) {
-  MutexLock lk(mu_);
-  peers_[host] = address;
-}
-
 std::size_t TcpTransport::open_connections() const {
-  MutexLock lk(mu_);
   std::size_t n = 0;
+  {
+    MutexLock self_lk(self_mu_);
+    if (self_out_ >= 0) n = 2;
+  }
+  MutexLock lk(mu_);
   for (const auto& [addr, c] : out_conns_) {
     if (c->state != Conn::State::kClosed) ++n;
   }
@@ -154,45 +148,124 @@ bool TcpTransport::send(const std::string& from, const std::string& to,
     BufferPool::recycle(std::move(payload));
     return false;
   }
-  std::size_t payload_bytes = payload.size();
-
-  std::shared_ptr<Endpoint> direct;
+  std::shared_ptr<Endpoint> local;
   {
     MutexLock lk(mu_);
     auto ep_it = endpoints_.find(to);
-    bool to_is_local = ep_it != endpoints_.end();
-    if (!to_is_local || cfg_.self_loopback) {
-      return enqueue_frame_locked(from, to, to_is_local, std::move(payload),
-                                  frame_len);
+    if (ep_it == endpoints_.end()) {
+      return enqueue_frame_locked(from, to, std::move(payload), frame_len);
     }
-    direct = ep_it->second;
+    local = ep_it->second;
   }
 
-  // Direct delivery on this thread: fast, but moves no wire bytes. Off by
-  // default.
-  Message msg;
-  msg.from = from;
-  msg.to = to;
-  msg.payload = std::move(payload);
-  msg.deliver_at = now();
-  msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+  // A local destination: this thread moves the frame through the kernel's
+  // TCP stack and back, then delivers it itself with no transport lock held.
+  std::size_t payload_bytes = payload.size();
+  Bytes frame = encode_frame(from, to, payload);
+  BufferPool::recycle(std::move(payload));
+  std::optional<Frame> f = self_roundtrip(frame);
+  BufferPool::recycle(std::move(frame));
+  if (!f) return false;
   msgs_.fetch_add(1, std::memory_order_relaxed);
   bytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
   sent_msgs_counter_->inc();
   sent_bytes_counter_->inc(payload_bytes);
-  direct->deliver_now(std::move(msg));
+  local->deliver_now(received(std::move(*f)));
   return true;
+}
+
+std::optional<Frame> TcpTransport::self_roundtrip(const Bytes& frame) {
+  MutexLock lk(self_mu_);
+  if (self_out_ < 0 && !open_self_locked()) return std::nullopt;
+  // Writes and reads interleave, so a frame larger than the socket buffers
+  // completes too; poll() waits when the kernel has not moved bytes yet.
+  std::uint8_t buf[16 * 1024];
+  const char* why = nullptr;
+  for (std::size_t off = 0; why == nullptr;) {
+    ssize_t n = off == frame.size()
+                    ? 0
+                    : ::send(self_out_, frame.data() + off, frame.size() - off,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0 && errno != EAGAIN && errno != EINTR) {
+      why = std::strerror(errno);
+      break;
+    }
+    off += n > 0 ? static_cast<std::size_t>(n) : 0;
+    n = ::read(self_in_, buf, sizeof(buf));
+    if (n > 0 && !self_decoder_->feed({buf, static_cast<std::size_t>(n)})) {
+      why = "malformed frame";
+    } else if (auto f = self_decoder_->next()) {
+      return f;
+    } else if (n == 0) {
+      why = "connection closed";
+    } else if (n < 0 && errno != EAGAIN && errno != EINTR) {
+      why = std::strerror(errno);
+    } else if (n < 0) {
+      pollfd p[2] = {{self_in_, POLLIN, 0},
+                     {self_out_, off < frame.size() ? POLLOUT : 0, 0}};
+      if (::poll(p, 2, 5000) == 0) why = "no progress for 5 s";
+    }
+  }
+  // An I/O or framing error leaves the pair unusable mid-frame: close it and
+  // drop the frame, as a connection error does; the next local send reopens.
+  CQOS_LOG_WARN("tcp self pair: ", why, "; frame dropped");
+  count_drop("conn_error");
+  close_self_locked();
+  return std::nullopt;
+}
+
+bool TcpTransport::open_self_locked() {
+  // Through a private loopback listener the loop thread never sees. The
+  // accepted end must be our own connect, not a stranger that came first.
+  sockaddr_in sa = parse_addr("127.0.0.1:1");
+  sockaddr_in out{}, peer{};
+  sa.sin_port = 0;
+  socklen_t len = sizeof(sa);
+  auto* addr = reinterpret_cast<sockaddr*>(&sa);
+  int lfd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  self_out_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (lfd >= 0 && self_out_ >= 0 && ::bind(lfd, addr, len) == 0 &&
+      ::listen(lfd, 1) == 0 && ::getsockname(lfd, addr, &len) == 0 &&
+      ::connect(self_out_, addr, len) == 0 &&
+      ::getsockname(self_out_, reinterpret_cast<sockaddr*>(&out), &len) == 0) {
+    self_in_ = ::accept4(lfd, reinterpret_cast<sockaddr*>(&peer), &len,
+                         SOCK_NONBLOCK | SOCK_CLOEXEC);
+  }
+  const char* why = self_in_ < 0 ? std::strerror(errno) : nullptr;
+  if (lfd >= 0) ::close(lfd);
+  if (why == nullptr && (peer.sin_port != out.sin_port ||
+                         peer.sin_addr.s_addr != out.sin_addr.s_addr)) {
+    why = "accepted a connection that is not our own";
+  }
+  if (why != nullptr) {
+    CQOS_LOG_WARN("tcp self pair: ", why);
+    count_drop("connect");
+    close_self_locked();
+    return false;
+  }
+  int one = 1;
+  for (int fd : {self_in_, self_out_}) {
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
+  self_decoder_.emplace(cfg_.max_frame_bytes);
+  return true;
+}
+
+void TcpTransport::close_self_locked() {
+  for (int* fd : {&self_out_, &self_in_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
 }
 
 bool TcpTransport::enqueue_frame_locked(const std::string& from,
                                         const std::string& to,
-                                        bool to_is_local, Bytes&& payload,
+                                        Bytes&& payload,
                                         std::size_t frame_len) {
   std::size_t payload_bytes = payload.size();
-  const char* drop_reason = nullptr;
-  ConnPtr conn = route_locked(host_of(to), to_is_local, &drop_reason);
+  ConnPtr conn = route_locked(host_of(to));
   if (!conn) {
-    count_drop(drop_reason != nullptr ? drop_reason : "noroute");
+    count_drop("noroute");
     BufferPool::recycle(std::move(payload));
     return false;
   }
@@ -226,21 +299,14 @@ bool TcpTransport::enqueue_frame_locked(const std::string& from,
   return true;
 }
 
-TcpTransport::ConnPtr TcpTransport::route_locked(const std::string& to_host,
-                                                 bool to_is_local,
-                                                 const char** drop_reason) {
-  // Local destination with self_loopback: dial our own listen socket so the
-  // message travels the full wire path.
-  if (to_is_local) return connect_to_locked(self_addr_);
-
+TcpTransport::ConnPtr TcpTransport::route_locked(const std::string& to_host) {
   auto learned = learned_.find(to_host);
   if (learned != learned_.end()) {
     if (learned->second->state != Conn::State::kClosed) return learned->second;
     learned_.erase(learned);
   }
-  auto peer = peers_.find(to_host);
-  if (peer != peers_.end()) return connect_to_locked(peer->second);
-  *drop_reason = "noroute";
+  auto peer = cfg_.peers.find(to_host);
+  if (peer != cfg_.peers.end()) return connect_to_locked(peer->second);
   return nullptr;
 }
 
@@ -414,27 +480,26 @@ void TcpTransport::read_conn_locked(const ConnPtr& c,
   }
 }
 
-void TcpTransport::route_frame_locked(const ConnPtr& c, Frame&& f,
-                                      std::vector<Delivery>* due) {
+Message TcpTransport::received(Frame&& f) {
   recv_msgs_counter_->inc();
   recv_bytes_counter_->inc(f.payload.size());
+  return Message{std::move(f.from), std::move(f.to), std::move(f.payload),
+                 now(), next_seq_.fetch_add(1, std::memory_order_relaxed)};
+}
 
+void TcpTransport::route_frame_locked(const ConnPtr& c, Frame&& f,
+                                      std::vector<Delivery>* due) {
   // Learn the return route: frames from this host reach it over this
   // connection — the only way to address a client on an ephemeral port.
   learned_[host_of(f.from)] = c;
 
   auto it = endpoints_.find(f.to);
+  Message msg = received(std::move(f));
   if (it == endpoints_.end()) {
     count_drop("unknown_dest");
-    BufferPool::recycle(std::move(f.payload));
+    BufferPool::recycle(std::move(msg.payload));
     return;
   }
-  Message msg;
-  msg.from = std::move(f.from);
-  msg.to = std::move(f.to);
-  msg.payload = std::move(f.payload);
-  msg.deliver_at = now();
-  msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   due->push_back(Delivery{it->second, std::move(msg)});
 }
 

@@ -1,11 +1,11 @@
 // Real-socket TCP implementation of net::Transport.
 //
 // One listening socket per transport instance and one epoll EventLoop
-// thread that owns ALL socket I/O: application threads calling send() only
-// resolve a route, encode a frame (net/framing.h), enqueue it on the
-// connection's write queue and post a flush job — read(), write(),
-// connect-completion and accept all happen on the loop thread, so no fd is
-// ever touched from two threads.
+// thread that owns the socket I/O of every remote connection: application
+// threads calling send() to a remote endpoint only resolve a route, encode
+// a frame (net/framing.h), enqueue it on the connection's write queue and
+// post a flush job — read(), write(), connect-completion and accept all
+// happen on the loop thread, so no remote fd is touched from two threads.
 //
 // Connection state machine (after lighttpd's mod_proxy fdevent core;
 // SNIPPETS.md §3):
@@ -24,18 +24,17 @@
 //                EPOLLHUP, a framing protocol error (oversized/malformed
 //                frame), or connect failure/timeout.
 //
-// Routing: a frame for endpoint "host/svc" goes to (1) the local endpoint if
-// it is registered here — via a real loopback connection to our
-// own listen socket when self_loopback is set, so single-process tests
-// exercise the full wire path; (2) the connection a frame from that host
-// last arrived on (learned route — how replies reach clients on ephemeral
-// ports); (3) a connection to the address in the static peers map. No
-// route means the send is dropped, exactly like an unknown destination on
-// the simulator.
+// Routing: a frame for endpoint "host/svc" goes to (1) a local endpoint over
+// the self pair, a loopback connection the loop thread never touches: the
+// sending thread writes the frame, reads it back and delivers it itself
+// (DESIGN.md §15); (2) the connection a frame from that host last arrived
+// on (learned route: how replies reach clients on ephemeral ports); (3) a
+// connection to the address in the static peers map. No route drops the
+// send, like an unknown destination on the simulator.
 //
-// Lock hierarchy (extends DESIGN.md §8): TcpTransport::mu_ > EventLoop::mu_
-// (post while routing). Endpoint::mu_ is never taken under mu_: decoded
-// frames are collected under it and delivered after it is released.
+// Locks (extends DESIGN.md §8): TcpTransport::mu_ > EventLoop::mu_ (post
+// while routing); self_mu_ is taken alone. Endpoint::mu_ is never taken
+// under either: decoded frames are delivered after both are released.
 // Connection records are only mutated under mu_; epoll registration calls
 // are confined to the loop thread.
 #pragma once
@@ -45,6 +44,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,9 +69,10 @@ class TcpTransport : public Transport {
   std::shared_ptr<Endpoint> create_endpoint(const std::string& id) override;
   void remove_endpoint(const std::string& id) override;
 
-  /// Route, frame and enqueue. Returns false when the message cannot even be
-  /// queued (no route, frame over max_frame_bytes, connection backpressure,
-  /// connect failure). A true return means "accepted for delivery", not
+  /// Route, frame and enqueue, or deliver over the self pair before
+  /// returning. False when the message cannot even be queued (no route,
+  /// frame over max_frame_bytes, backpressure, connect or self-pair I/O
+  /// failure). A true return means "accepted for delivery", not
   /// "delivered": a queued frame still dies with its connection.
   bool send(const std::string& from, const std::string& to,
             Bytes&& payload) override;
@@ -90,17 +91,9 @@ class TcpTransport : public Transport {
 
   /// The bound listening port (resolves TcpOptions::listen_port == 0).
   std::uint16_t listen_port() const { return listen_port_; }
-  const std::string& listen_address() const { return cfg_.listen_address; }
 
-  /// Extend the static routing table after construction: host part of an
-  /// endpoint id -> "ip:port". How a client process wires in a server whose
-  /// ephemeral port it learned out of band.
-  void add_peer(const std::string& host, const std::string& address);
-
-  /// Connections not yet closed (outgoing + accepted). Test hook.
+  /// Connections not yet closed (outgoing, accepted, self pair). Test hook.
   std::size_t open_connections() const;
-
-  metrics::Registry& metrics_registry() const { return registry(); }
 
  private:
   struct Conn {
@@ -145,14 +138,21 @@ class TcpTransport : public Transport {
 
   // Called under mu_ from send().
   bool enqueue_frame_locked(const std::string& from, const std::string& to,
-                            bool to_is_local, Bytes&& payload,
-                            std::size_t frame_len) CQOS_REQUIRES(mu_);
-  ConnPtr route_locked(const std::string& to_host, bool to_is_local,
-                       const char** drop_reason) CQOS_REQUIRES(mu_);
+                            Bytes&& payload, std::size_t frame_len)
+      CQOS_REQUIRES(mu_);
+  ConnPtr route_locked(const std::string& to_host) CQOS_REQUIRES(mu_);
   ConnPtr connect_to_locked(const std::string& addr) CQOS_REQUIRES(mu_);
+  /// Count a received frame and make the Message delivered for it.
+  Message received(Frame&& f);
   /// Learn the frame's return route and queue it for delivery.
   void route_frame_locked(const ConnPtr& c, Frame&& f,
                           std::vector<Delivery>* due) CQOS_REQUIRES(mu_);
+
+  /// Write `frame` to the self pair (opening it first if needed) and read
+  /// it back; nullopt, with the drop counted, if that failed.
+  std::optional<Frame> self_roundtrip(const Bytes& frame);
+  bool open_self_locked() CQOS_REQUIRES(self_mu_);
+  void close_self_locked() CQOS_REQUIRES(self_mu_);
 
   void count_drop(const char* reason);
   metrics::Registry& registry() const {
@@ -163,18 +163,24 @@ class TcpTransport : public Transport {
   const TcpOptions cfg_;
   int listen_fd_ = -1;
   std::uint16_t listen_port_ = 0;
-  std::string self_addr_;  // "listen_address:listen_port"
 
   mutable Mutex mu_;
   std::map<std::string, std::shared_ptr<Endpoint>> endpoints_
       CQOS_GUARDED_BY(mu_);
-  std::map<std::string, std::string> peers_ CQOS_GUARDED_BY(mu_);
   /// Outgoing connections keyed by "ip:port".
   std::map<std::string, ConnPtr> out_conns_ CQOS_GUARDED_BY(mu_);
   /// Accepted (incoming) connections.
   std::vector<ConnPtr> accepted_ CQOS_GUARDED_BY(mu_);
   /// Learned return routes: host -> connection its frames arrive on.
   std::map<std::string, ConnPtr> learned_ CQOS_GUARDED_BY(mu_);
+
+  /// Serialises each self-pair write with its read-back, so the accepted
+  /// end only ever holds the writer's own bytes. Never held with mu_ or
+  /// while a handler runs.
+  mutable Mutex self_mu_;
+  int self_out_ CQOS_GUARDED_BY(self_mu_) = -1;  // connecting end: written
+  int self_in_ CQOS_GUARDED_BY(self_mu_) = -1;   // accepted end: read back
+  std::optional<FrameDecoder> self_decoder_ CQOS_GUARDED_BY(self_mu_);
 
   std::atomic<std::uint64_t> next_seq_{1};
   std::atomic<std::uint64_t> msgs_{0};

@@ -67,8 +67,9 @@ class PayloadRecycler {
 
 /// Receiving side of one registered endpoint, shared by both transports.
 /// Delivery is push: the transport hands each message over on the thread
-/// that makes it due (DESIGN.md §15) — the TCP event-loop thread, the
-/// simulator's sending thread, or the simulator's delivery thread.
+/// that makes it due (DESIGN.md §15) — the TCP sending thread (local
+/// endpoints) or event-loop thread (remote senders), the simulator's
+/// sending thread, or the simulator's delivery thread.
 class Endpoint {
  public:
   Endpoint(std::string id, std::string host) : id_(std::move(id)), host_(std::move(host)) {}
@@ -82,9 +83,10 @@ class Endpoint {
   /// submit, a pending-call completion, a reply send). The one exception is
   /// a platform dispatch run on its own waiting caller's thread
   /// (plat::dispatch_request, DESIGN.md §8). It may take only leaf locks and
-  /// may call Transport::send() — on the simulator that can run one more
-  /// handler inline (e.g. a reply completing a pending call). It must never
-  /// close its own endpoint (close() would wait for itself).
+  /// may call Transport::send() — on the simulator and to a local TCP
+  /// endpoint that can run one more handler inline (e.g. a reply completing
+  /// a pending call). It must never close its own endpoint (close() would
+  /// wait for itself).
   /// Installed once, before traffic arrives; every message delivered while
   /// a handler is set goes to it, in both of the simulator's time modes.
   using Handler = std::function<void(Message&&)>;
@@ -230,14 +232,8 @@ struct TcpOptions {
   /// hosting it. Routes are also learned dynamically — a data frame arriving
   /// on a connection teaches the receiver that the sender's host is
   /// reachable over that connection (how replies find ephemeral client
-  /// ports). add_peer() extends this map after construction.
+  /// ports).
   std::map<std::string, std::string> peers;
-  /// Messages between endpoints hosted by this same transport travel
-  /// through a real loopback connection to our own listen socket (true),
-  /// exercising the full connect/frame/epoll path, or are delivered
-  /// directly on the sending thread (false), which is faster but moves no
-  /// wire bytes.
-  bool self_loopback = true;
   /// Frames larger than this are refused on send and are a protocol error
   /// on receive (the connection is closed): a corrupt or hostile length
   /// prefix must not make us allocate unbounded memory.

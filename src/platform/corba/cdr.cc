@@ -62,7 +62,7 @@ void encode_any(ByteWriter& w, const Value& v) {
   }
 }
 
-Value decode_any(ByteReader& r) {
+Value decode_any(ByteReader& r, int depth) {
   auto kind = static_cast<TcKind>(r.get_u8());
   switch (kind) {
     case TcKind::kNull:
@@ -83,12 +83,17 @@ Value decode_any(ByteReader& r) {
       return Value(r.get_bytes(n));
     }
     case TcKind::kAnySeq: {
+      if (depth >= Value::kMaxNesting) {
+        throw DecodeError("Any sequences nested too deep");
+      }
       r.align(4);
       std::uint32_t n = r.get_u32();
       if (n > r.remaining()) throw DecodeError("Any sequence too long");
       ValueList list;
       list.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) list.push_back(decode_any(r));
+      for (std::uint32_t i = 0; i < n; ++i) {
+        list.push_back(decode_any(r, depth + 1));
+      }
       return Value(std::move(list));
     }
   }

@@ -26,8 +26,9 @@ enum class TcKind : std::uint8_t {
 /// Append one Value as an Any (typecode + aligned payload).
 void encode_any(ByteWriter& w, const Value& v);
 
-/// Decode one Any.
-Value decode_any(ByteReader& r);
+/// Decode one Any; sequences nest at most Value::kMaxNesting deep (`depth`
+/// counts the ones already open), deeper is a DecodeError.
+Value decode_any(ByteReader& r, int depth = 0);
 
 /// CDR string: aligned u32 length including NUL, then bytes, then NUL.
 void encode_cdr_string(ByteWriter& w, std::string_view s);

@@ -367,6 +367,10 @@ struct CodecCase {
   const plat::Codec& (*codec)();
 };
 
+// Print a case by its name, not its pointer bytes, so each test's listed
+// name is the same in every build and every run.
+void PrintTo(const CodecCase& c, std::ostream* os) { *os << c.name; }
+
 class CodecDecode : public ::testing::TestWithParam<CodecCase> {};
 
 // Every truncation of a valid request, reply, ping and pong frame decodes
@@ -408,6 +412,67 @@ TEST_P(CodecDecode, EveryTruncationIsAFrameOrADecodeError) {
       }
     }
   }
+}
+
+/// `frame` with its last param, a null encoded as the frame's last byte,
+/// wrapped in `depth` one-element lists (JRMP and HTTP carry Values, GIOP
+/// carries CDR Any sequences).
+Bytes nest_last_param(std::string_view codec, const Bytes& frame, int depth) {
+  if (codec == "giop") {
+    ByteWriter w;
+    w.put_bytes(std::span<const std::uint8_t>(frame.data(), frame.size() - 1));
+    for (int i = 0; i < depth; ++i) {
+      w.put_u8(static_cast<std::uint8_t>(corba::TcKind::kAnySeq));
+      w.align(4);
+      w.put_u32(1);
+    }
+    w.put_u8(static_cast<std::uint8_t>(corba::TcKind::kNull));
+    w.patch_u32(8, static_cast<std::uint32_t>(w.size() - 12));  // body size
+    return std::move(w).take();
+  }
+  Bytes out(frame.begin(), frame.end() - 1);
+  for (int i = 0; i < depth; ++i) {
+    out.push_back(static_cast<std::uint8_t>(Value::Type::kList));
+    out.push_back(1);  // varint element count
+  }
+  out.push_back(static_cast<std::uint8_t>(Value::Type::kNull));
+  if (codec == "http") {
+    std::string text(out.begin(), out.end());
+    const std::size_t body = text.size() - (text.find("\r\n\r\n") + 4);
+    const std::size_t at = text.find("Content-Length: ") + 16;
+    text.replace(at, text.find("\r\n", at) - at, std::to_string(body));
+    out.assign(text.begin(), text.end());
+  }
+  return out;
+}
+
+Bytes null_param_request(const plat::Codec& codec) {
+  return codec.encode_request(7, "cli/cli0", "poa/Obj", "m", {}, {Value()});
+}
+
+// A hostile frame nesting lists 100,000 deep must not recurse the decoder
+// off the stack: past Value::kMaxNesting it is a DecodeError.
+TEST_P(CodecDecode, DeepNestingIsADecodeError) {
+  const plat::Codec& codec = GetParam().codec();
+  const Bytes frame = null_param_request(codec);
+  for (int depth : {100'000, Value::kMaxNesting + 1}) {
+    EXPECT_THROW(codec.decode(nest_last_param(GetParam().name, frame, depth)),
+                 DecodeError)
+        << depth;
+  }
+}
+
+TEST_P(CodecDecode, NestingAtTheBoundDecodes) {
+  const plat::Codec& codec = GetParam().codec();
+  plat::Frame f = codec.decode(nest_last_param(
+      GetParam().name, null_param_request(codec), Value::kMaxNesting));
+  ASSERT_EQ(f.params.size(), 1u);
+  const Value* v = &f.params[0];
+  for (int i = 0; i < Value::kMaxNesting; ++i) {
+    ASSERT_EQ(v->as_list().size(), 1u);
+    v = &v->as_list()[0];
+  }
+  EXPECT_TRUE(v->is_null());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -194,19 +194,6 @@ TEST(TcpTransport, SelfLoopbackDeliversThroughRealSockets) {
   EXPECT_EQ(fx.registry.counter("net.recv.msgs").value(), 1u);
 }
 
-TEST(TcpTransport, DirectDepositWhenSelfLoopbackOff) {
-  TcpOptions opts;
-  opts.self_loopback = false;
-  TcpFixture fx(opts);
-  auto a = fx.t->create_endpoint("hostA/a");
-  auto b = fx.t->create_endpoint("hostB/b");
-  ASSERT_TRUE(fx.t->send("hostA/a", "hostB/b", bytes_of("direct")));
-  auto msg = b->recv(ms(500));
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(msg->payload, bytes_of("direct"));
-  EXPECT_EQ(fx.tcp().open_connections(), 0u);
-}
-
 TEST(TcpTransport, TwoTransportsTalkAndRepliesUseLearnedRoutes) {
   // "Server" transport knows nothing about the client (it is on an
   // ephemeral port); the reply must ride the learned route.
@@ -236,6 +223,83 @@ TEST(TcpTransport, NoRouteDropsAndCounts) {
   EXPECT_FALSE(fx.t->send("hostA/a", "nowhere/b", bytes_of("lost")));
   EXPECT_EQ(fx.registry.counter("net.drop.noroute").value(), 1u);
   EXPECT_EQ(fx.t->messages_sent(), 0u);
+}
+
+TEST(TcpTransport, PeerPortWithStrayCharactersIsRefused) {
+  TcpFixture server;
+  auto srv = server.t->create_endpoint("server0/svc");
+  const std::string port = std::to_string(server.tcp().listen_port());
+  for (const std::string& bad : {port + "x", "+" + port, " " + port}) {
+    TcpOptions copts;
+    copts.peers["server0"] = "127.0.0.1:" + bad;
+    TcpFixture client(copts);
+    auto cli = client.t->create_endpoint("client0/cli");
+    EXPECT_FALSE(client.t->send("client0/cli", "server0/svc", bytes_of("req")))
+        << bad;
+    EXPECT_EQ(client.registry.counter("net.drop.noroute").value(), 1u) << bad;
+  }
+  EXPECT_FALSE(srv->recv(ms(200)).has_value());
+}
+
+TEST(TcpTransport, ConcurrentSelfLoopbackSendersDeliverEachFrameOnceInOrder) {
+  constexpr int kSenders = 4;
+  constexpr std::uint32_t kFrames = 500;
+  TcpFixture fx;
+  auto sink = fx.t->create_endpoint("hostS/sink");
+  std::mutex mu;
+  std::vector<std::vector<std::uint32_t>> got(kSenders);
+  sink->set_handler([&](Message&& m) {
+    ByteReader r(m.payload);
+    std::uint32_t sender = r.get_u32();
+    std::uint32_t seq = r.get_u32();
+    std::scoped_lock lk(mu);
+    got.at(sender).push_back(seq);
+  });
+  std::vector<std::shared_ptr<Endpoint>> sources;
+  for (int s = 0; s < kSenders; ++s) {
+    sources.push_back(
+        fx.t->create_endpoint("host" + std::to_string(s) + "/src"));
+  }
+  std::vector<std::thread> threads;
+  for (int s = 0; s < kSenders; ++s) {
+    threads.emplace_back([&fx, &sources, s] {
+      for (std::uint32_t i = 0; i < kFrames; ++i) {
+        ByteWriter w;
+        w.put_u32(static_cast<std::uint32_t>(s));
+        w.put_u32(i);
+        EXPECT_TRUE(fx.t->send(sources[s]->id(), "hostS/sink",
+                               std::move(w).take()));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  sink->close();
+  // Delivery happens inside send(), so every frame is in by now.
+  std::vector<std::uint32_t> want(kFrames);
+  for (std::uint32_t i = 0; i < kFrames; ++i) want[i] = i;
+  for (int s = 0; s < kSenders; ++s) EXPECT_EQ(got[s], want) << "sender " << s;
+  EXPECT_EQ(fx.registry.counter("net.recv.msgs").value(), kSenders * kFrames);
+}
+
+TEST(TcpTransport, SelfLoopbackCarriesAFrameOfMaxFrameBytes) {
+  TcpFixture fx;  // 4 MiB frames: more than the loopback socket buffers
+  auto a = fx.t->create_endpoint("hostA/a");
+  auto b = fx.t->create_endpoint("hostB/b");
+  const std::size_t max_payload =
+      TcpOptions{}.max_frame_bytes - frame_overhead("hostA/a", "hostB/b");
+  Bytes big(max_payload);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint8_t>(i * 131 + i / 4096);
+  }
+  ASSERT_TRUE(fx.t->send("hostA/a", "hostB/b", Bytes(big)));
+  auto msg = b->recv(ms(2000));
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->payload, big);
+  // The pair survives the frame: a small one still goes through.
+  ASSERT_TRUE(fx.t->send("hostA/a", "hostB/b", bytes_of("after")));
+  auto next = b->recv(ms(2000));
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->payload, bytes_of("after"));
 }
 
 TEST(TcpTransport, OversizedSendRefused) {
@@ -324,15 +388,21 @@ TEST(TcpTransport, OversizedInboundFrameClosesConnection) {
 
 }  // namespace
 TEST(TcpTransport, HandlerSendsFromTheLoopThreadWithoutDeadlock) {
-  TcpFixture fx;
-  auto srv = fx.t->create_endpoint("hostS/srv");
-  auto cli = fx.t->create_endpoint("hostC/cli");
+  // Two transports: a frame from another transport is delivered on the
+  // receiver's event-loop thread (a local one would run on the sender's).
+  TcpFixture server;
+  auto srv = server.t->create_endpoint("hostS/srv");
+  TcpOptions copts;
+  copts.peers["hostS"] =
+      "127.0.0.1:" + std::to_string(server.tcp().listen_port());
+  TcpFixture client(copts);
+  auto cli = client.t->create_endpoint("hostC/cli");
   std::thread::id srv_thread;
   srv->set_handler([&](Message&& m) {
     srv_thread = std::this_thread::get_id();
     // An echo from the event-loop thread: send() takes the transport lock,
     // which the loop released before delivering.
-    fx.t->send("hostS/srv", m.from, std::move(m.payload));
+    server.t->send("hostS/srv", m.from, std::move(m.payload));
   });
   Gate got;
   Bytes echoed;
@@ -340,7 +410,7 @@ TEST(TcpTransport, HandlerSendsFromTheLoopThreadWithoutDeadlock) {
     echoed = std::move(m.payload);
     got.set();
   });
-  ASSERT_TRUE(fx.t->send("hostC/cli", "hostS/srv", bytes_of("echo me")));
+  ASSERT_TRUE(client.t->send("hostC/cli", "hostS/srv", bytes_of("echo me")));
   ASSERT_TRUE(got.wait_for(ms(2000)));
   cli->close();
   srv->close();
@@ -427,6 +497,99 @@ INSTANTIATE_TEST_SUITE_P(Platforms, TcpClusterBothPlatforms,
                            return info.param == PlatformKind::kRmi ? "Rmi"
                                                                    : "Corba";
                          });
+
+// Active replication with total order on one TcpTransport: every request,
+// ordering multicast and reply is delivered on its sender's thread, so
+// requests parked by total_order wait on client threads (DESIGN.md §15).
+ClusterOptions replicated_tcp_options() {
+  ClusterOptions opts = tcp_options(PlatformKind::kRmi);
+  opts.num_replicas = 3;
+  opts.qos.add(Side::kClient, "active_rep")
+      .add(Side::kClient, "majority_vote")
+      .add(Side::kServer, "total_order");
+  return opts;
+}
+
+/// Runs `calls` deposits on each client, one thread per client, client c
+/// depositing c + 1; returns the calls that threw.
+int deposit_concurrently(std::vector<std::unique_ptr<ClientHandle>>& clients,
+                         int calls) {
+  std::atomic<int> failed{0};
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c < clients.size(); ++c) {
+    threads.emplace_back([&, c] {
+      BankAccountStub account(clients[c]->stub_ptr());
+      for (int i = 0; i < calls; ++i) {
+        try {
+          account.deposit(static_cast<std::int64_t>(c + 1));
+        } catch (const std::exception&) {
+          failed.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  return failed.load();
+}
+
+TEST(TcpCluster, ActiveReplicationWithTotalOrderRunsConcurrentClients) {
+  // Almost every request at a non-coordinator replica parks for its
+  // ordering info, on the client pool thread that delivered it. Six
+  // clients park more requests at one replica than it has dispatch slots
+  // (8): a parked request that kept its slot would leave none for the
+  // ordering info that releases them, and every call would time out.
+  Cluster cluster(replicated_tcp_options());
+  std::vector<std::unique_ptr<ClientHandle>> clients;
+  for (int i = 0; i < 6; ++i) clients.push_back(cluster.make_client());
+  constexpr int kCalls = 150;
+  TimePoint start = now();
+  EXPECT_EQ(deposit_concurrently(clients, kCalls), 0);
+  EXPECT_LT(now() - start, ms(20000));
+
+  // Client c deposits c + 1 per call. A replica that a client stopped
+  // using (a call to it timed out) may lag; every other one applies all
+  // deposits in the same order.
+  const std::int64_t want = kCalls * (1 + 2 + 3 + 4 + 5 + 6);
+  int in_use = 0;
+  for (int r = 0; r < 3; ++r) {
+    bool dropped = false;
+    for (auto& c : clients) {
+      dropped = dropped || c->cactus_client()->qos().server_status(r) ==
+                               ServerStatus::kFailed;
+    }
+    if (dropped) continue;
+    ++in_use;
+    auto& servant = static_cast<BankAccountServant&>(cluster.servant(r));
+    TimePoint until = now() + ms(5000);
+    while (servant.balance() != want && now() < until) {
+      std::this_thread::sleep_for(ms(10));
+    }
+    EXPECT_EQ(servant.balance(), want) << "replica " << r;
+  }
+  EXPECT_GE(in_use, 2);
+}
+
+TEST(TcpCluster, ReplicaThatMissesOrderedRequestsIsDroppedNotWaitedOn) {
+  // Client 0 stops sending to replica 2, so replica 2 receives ordering
+  // info for requests it never sees: its execute sequence stops at the
+  // first gap and every later request parks there. Client 1 must see
+  // those calls fail at its own invoke timeout, as against a replica on
+  // another thread, and stop using replica 2. Run inline, each of them
+  // used to hold a client pool thread for the 3 s processing timeout and
+  // end in an application error, which drops no replica.
+  Cluster cluster(replicated_tcp_options());
+  std::vector<std::unique_ptr<ClientHandle>> clients;
+  clients.push_back(cluster.make_client());
+  clients.push_back(cluster.make_client());
+  EXPECT_EQ(deposit_concurrently(clients, 2), 0);
+  clients[0]->cactus_client()->qos().mark_failed(2);
+
+  TimePoint start = now();
+  EXPECT_EQ(deposit_concurrently(clients, 40), 0);
+  EXPECT_LT(now() - start, ms(8000));
+  EXPECT_EQ(clients[1]->cactus_client()->qos().server_status(2),
+            ServerStatus::kFailed);
+}
 
 TEST(TcpCluster, SimOnlyAccessorsThrowOnTcp) {
   Cluster cluster(tcp_options(PlatformKind::kRmi));
@@ -600,6 +763,47 @@ TEST(PendingCalls, EveryOutcomeLeavesTheTableEmpty) {
   EXPECT_FALSE(plat::detail::t_waiting_caller);
 }
 
+TEST(PendingCalls, ServantThatGaveUpAtTheCallersDeadlineTimesTheCallOut) {
+  plat::PendingCalls pending;
+  plat::Reply ok;
+  ok.status = plat::ReplyStatus::kOk;
+  EXPECT_EQ(plat::caller_deadline(), TimePoint::max());
+
+  // Given up inline: a timeout although the reply came in time.
+  TimePoint before = now();
+  plat::Reply r = pending.call(ms(500), [&](std::uint64_t id) {
+    EXPECT_GE(plat::caller_deadline(), before + ms(500));
+    EXPECT_LE(plat::caller_deadline(), now() + ms(500));
+    plat::caller_timed_out();
+    return pending.complete(id, ok);
+  });
+  EXPECT_EQ(r.error, "timeout");
+  EXPECT_EQ(pending.in_flight(), 0u);
+
+  // A nested call has its own deadline and outcome; the outer call's are
+  // restored after it.
+  r = pending.call(ms(500), [&](std::uint64_t id) {
+    TimePoint outer = plat::caller_deadline();
+    plat::Reply inner = pending.call(ms(100), [&](std::uint64_t inner_id) {
+      EXPECT_LT(plat::caller_deadline(), outer);
+      plat::caller_timed_out();
+      return pending.complete(inner_id, ok);
+    });
+    EXPECT_EQ(inner.error, "timeout");
+    EXPECT_EQ(plat::caller_deadline(), outer);
+    return pending.complete(id, ok);
+  });
+  EXPECT_TRUE(r.ok());
+
+  // Outside a call it marks nothing.
+  plat::caller_timed_out();
+  r = pending.call(ms(500), [&](std::uint64_t id) {
+    return pending.complete(id, ok);
+  });
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(plat::caller_deadline(), TimePoint::max());
+}
+
 net::NetConfig zero_latency() {
   net::NetConfig cfg;
   cfg.base_latency = Duration::zero();
@@ -691,18 +895,22 @@ std::shared_ptr<plat::ObjectRef> publish(
 /// One network with both naming services, and a server and a client
 /// runtime of one platform kind.
 struct DispatchFixture {
-  net::SimNetwork net;
+  std::unique_ptr<net::Transport> net;
   rmi::Registry registry;
   corba::SmartAgent agent;
   std::unique_ptr<plat::Platform> server;
   std::unique_ptr<plat::Platform> client;
 
+  DispatchFixture(PlatformKind kind, const net::TransportConfig& cfg,
+                  int server_threads)
+      : net(net::make_transport(cfg)),
+        registry(*net, "nameserver"),
+        agent(*net, "nameserver"),
+        server(make_runtime(kind, *net, "srv", server_threads)),
+        client(make_runtime(kind, *net, "cli", 2)) {}
   DispatchFixture(PlatformKind kind, net::NetConfig cfg, int server_threads)
-      : net(cfg),
-        registry(net, "nameserver"),
-        agent(net, "nameserver"),
-        server(make_runtime(kind, net, "srv", server_threads)),
-        client(make_runtime(kind, net, "cli", 2)) {}
+      : DispatchFixture(kind, net::TransportConfig::simulated(cfg),
+                        server_threads) {}
 };
 
 constexpr PlatformKind kAllPlatforms[] = {
@@ -714,9 +922,10 @@ std::uint64_t dispatch_count(const char* which) {
       .value();
 }
 
-TEST(CallerRunsDispatch, ZeroLatencyCallRunsTheServantOnTheCallersThread) {
+/// One call from the test thread: its servant runs right there, inline.
+void expect_call_runs_on_callers_thread(const net::TransportConfig& cfg) {
   for (PlatformKind kind : kAllPlatforms) {
-    DispatchFixture fx(kind, zero_latency(), 2);
+    DispatchFixture fx(kind, cfg, 2);
     auto servant = std::make_shared<ThreadProbeServant>();
     auto ref = publish(kind, *fx.server, "srv", *fx.client, "obj", servant);
     std::uint64_t inline_before = dispatch_count("inline");
@@ -728,6 +937,17 @@ TEST(CallerRunsDispatch, ZeroLatencyCallRunsTheServantOnTheCallersThread) {
     EXPECT_EQ(dispatch_count("inline") - inline_before, 1u) << kind_name(kind);
     EXPECT_EQ(dispatch_count("pooled") - pooled_before, 0u) << kind_name(kind);
   }
+}
+
+TEST(CallerRunsDispatch, ZeroLatencyCallRunsTheServantOnTheCallersThread) {
+  expect_call_runs_on_callers_thread(
+      net::TransportConfig::simulated(zero_latency()));
+}
+
+// TCP self-loopback delivers on the sending thread after the frame crossed
+// the kernel's TCP stack, so the call crosses no thread either.
+TEST(CallerRunsDispatch, TcpSelfLoopbackCallRunsTheServantOnTheCallersThread) {
+  expect_call_runs_on_callers_thread(net::TransportConfig::real_tcp());
 }
 
 TEST(CallerRunsDispatch, DefaultLatencyCallRunsTheServantOnAWorker) {
@@ -795,9 +1015,10 @@ TEST(CallerRunsDispatch, DroppedReplyTimesOutAtItsDeadline) {
   auto ref = publish(PlatformKind::kRmi, *fx.server, "srv", *fx.client, "obj",
                      servant);
   // Drop everything sent to host cli: the reply, not the request.
-  fx.net.faults().run_plan(net::FaultPlan::parse(
+  net::FaultController& faults = fx.net->as_sim()->faults();
+  faults.run_plan(net::FaultPlan::parse(
       "plan drop-replies\nseed 1\n@0ms drop_burst * cli 60000ms 1.0\n"));
-  ASSERT_TRUE(fx.net.faults().wait_plan_done(ms(2000)));
+  ASSERT_TRUE(faults.wait_plan_done(ms(2000)));
   TimePoint start = now();
   plat::Reply reply = ref->invoke("m", {}, {}, ms(50));
   Duration took = now() - start;
@@ -829,14 +1050,15 @@ TEST(CallerRunsDispatch, InlineServantPastTheDeadlineStillReturnsItsReply) {
   EXPECT_TRUE(reply.ok());
 }
 
-TEST(CallerRunsDispatch, ServantCallingBackIntoTheCallersHostCompletes) {
+void expect_callback_into_callers_host_completes(
+    const net::TransportConfig& cfg) {
   for (PlatformKind kind : kAllPlatforms) {
-    net::SimNetwork net(zero_latency());
-    rmi::Registry registry(net, "nameserver");
-    corba::SmartAgent agent(net, "nameserver");
+    auto net = net::make_transport(cfg);
+    rmi::Registry registry(*net, "nameserver");
+    corba::SmartAgent agent(*net, "nameserver");
     // One slot each: the callback must not need a second one.
-    auto a = make_runtime(kind, net, "hostA", 1);
-    auto b = make_runtime(kind, net, "hostB", 1);
+    auto a = make_runtime(kind, *net, "hostA", 1);
+    auto b = make_runtime(kind, *net, "hostB", 1);
     auto inner = std::make_shared<ThreadProbeServant>([] {
       plat::Reply reply;
       reply.status = plat::ReplyStatus::kOk;
@@ -857,6 +1079,15 @@ TEST(CallerRunsDispatch, ServantCallingBackIntoTheCallersHostCompletes) {
     EXPECT_EQ(inner->threads(), std::vector<std::thread::id>{me})
         << kind_name(kind);
   }
+}
+
+TEST(CallerRunsDispatch, ServantCallingBackIntoTheCallersHostCompletes) {
+  expect_callback_into_callers_host_completes(
+      net::TransportConfig::simulated(zero_latency()));
+}
+
+TEST(CallerRunsDispatch, TcpServantCallingBackIntoTheCallersHostCompletes) {
+  expect_callback_into_callers_host_completes(net::TransportConfig::real_tcp());
 }
 
 }  // namespace

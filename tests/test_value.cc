@@ -113,6 +113,35 @@ TEST(Value, DecodeRejectsHugeListLength) {
   EXPECT_THROW(Value::decode(r), DecodeError);
 }
 
+/// An encoded one-element parameter list whose element is a null wrapped in
+/// `depth` one-element lists.
+Bytes nested_list(int depth) {
+  Bytes out{1};  // varint: one parameter
+  for (int i = 0; i < depth; ++i) {
+    out.push_back(static_cast<std::uint8_t>(Value::Type::kList));
+    out.push_back(1);
+  }
+  out.push_back(static_cast<std::uint8_t>(Value::Type::kNull));
+  return out;
+}
+
+TEST(Value, DecodeListRefusesDeepNesting) {
+  EXPECT_THROW(Value::decode_list(nested_list(100'000)), DecodeError);
+  EXPECT_THROW(Value::decode_list(nested_list(Value::kMaxNesting + 1)),
+               DecodeError);
+}
+
+TEST(Value, DecodeListTakesNestingAtTheBound) {
+  ValueList vals = Value::decode_list(nested_list(Value::kMaxNesting));
+  ASSERT_EQ(vals.size(), 1u);
+  const Value* v = &vals[0];
+  for (int i = 0; i < Value::kMaxNesting; ++i) {
+    ASSERT_EQ(v->as_list().size(), 1u);
+    v = &v->as_list()[0];
+  }
+  EXPECT_TRUE(v->is_null());
+}
+
 TEST(Value, ToStringRendersStructure) {
   Value v(ValueList{Value(1), Value("x"), Value(Bytes{1, 2})});
   EXPECT_EQ(v.to_string(), "[1, \"x\", bytes[2]]");

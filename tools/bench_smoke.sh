@@ -200,7 +200,8 @@ if "bench_scale" in benches:
 # BENCH_tcp.json: real-socket transport rows. All four rows must be present
 # (the sim-raw calibration row included), and the metrics must prove frames
 # actually crossed the kernel: the TCP transport's receive counters only
-# move when the epoll loop decodes a frame off a real socket.
+# move when a frame is decoded off a real socket (by the epoll loop, or by a
+# sender reading its own frame back off the self pair).
 if "bench_tcp" in benches:
     path = out_dir / "BENCH_tcp.json"
     if not path.exists():
