@@ -62,6 +62,14 @@ Bytes mac_key() { return hex("6b6579206b6579206b657921"); }
 
 // --- in-process secured stack (mirrors tests/test_stub_skeleton.cc) ---------
 
+/// Takes the reply a handler sends before it returns.
+struct ReplyCapture : plat::ReplyOutlet {
+  plat::Reply reply;
+  void send(std::uint64_t, const std::string&, plat::Reply r) override {
+    reply = std::move(r);
+  }
+};
+
 class LoopbackClientQos : public ClientQosInterface {
  public:
   explicit LoopbackClientQos(std::shared_ptr<plat::ServantHandler> handler)
@@ -77,7 +85,10 @@ class LoopbackClientQos : public ClientQosInterface {
     PiggybackMap pb = req.piggyback;
     pb[pbkey::kRequestId] = Value(static_cast<std::int64_t>(req.id));
     pb[pbkey::kPriority] = Value(static_cast<std::int64_t>(req.priority));
-    plat::Reply reply = handler_->handle(req.method, req.params(), pb);
+    auto capture = std::make_shared<ReplyCapture>();
+    handler_->handle(req.method, req.params(), pb,
+                     plat::ReplyHandle(capture, 0, ""));
+    plat::Reply& reply = capture->reply;
     inv.success = reply.ok();
     inv.result = std::move(reply.result);
     inv.error = std::move(reply.error);

@@ -51,7 +51,6 @@ inline constexpr int kOrderLast = 100;
 inline constexpr int kInheritPriority = -1;
 
 using BindingId = std::uint64_t;
-inline constexpr BindingId kInvalidBinding = 0;
 
 /// Per-activation context handed to each handler.
 class EventContext {
@@ -85,7 +84,6 @@ class EventContext {
     if (const T* p = std::any_cast<T>(&static_arg_)) return *p;
     throw TypeError("handler static argument has unexpected type");
   }
-  bool has_static_arg() const { return static_arg_.has_value(); }
 
   /// Stop executing the remaining (later-ordered) handlers of this
   /// activation. This is the override mechanism: a handler bound before a
@@ -275,6 +273,9 @@ class CompositeProtocol {
                         int priority = kInheritPriority);
 
   bool cancel_delayed(TimerId id);
+
+  /// The timers behind raise_delayed(), for the runtime's own deadlines.
+  TimerService& timers() { return timers_; }
 
   // --- misc ----------------------------------------------------------------
 

@@ -94,17 +94,6 @@ void PriorityThreadPool::leave_inline() {
   if (!queues_empty()) cv_.notify_one();
 }
 
-void PriorityThreadPool::lend_slot() {
-  MutexLock lk(mu_);
-  --running_;
-  if (!queues_empty()) cv_.notify_one();
-}
-
-void PriorityThreadPool::reclaim_slot() {
-  MutexLock lk(mu_);
-  ++running_;
-}
-
 void PriorityThreadPool::shutdown() {
   {
     MutexLock lk(mu_);

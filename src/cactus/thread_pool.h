@@ -35,10 +35,7 @@
 // worker runs and try_run_inline() runs on outside threads (the caller-runs
 // path of platform dispatch, DESIGN.md §8). A worker starts a task only
 // while a slot is free, so queued work waits for a finishing task whether a
-// worker or an inline caller held its slot. A task waiting inside a
-// BlockingSection does not count: its slot is lent out for the wait and
-// taken back after it, above the bound if need be, so a task never holds
-// up the work it waits for.
+// worker or an inline caller held its slot.
 #pragma once
 
 #include <cstdint>
@@ -145,25 +142,17 @@ class PriorityThreadPool {
     }
   };
 
-  friend class BlockingSection;
-
-  /// Run a task at `priority` as this pool's task on the calling thread; an
-  /// exception is logged, not propagated.
+  /// Run a task at `priority` on the calling thread; an exception is
+  /// logged, not propagated.
   template <class Task>
-  void run_at(int priority, Task& task) {
+  static void run_at(int priority, Task& task) {
     PriorityGuard guard(priority);
-    struct Current {
-      PriorityThreadPool* outer;
-      ~Current() { t_current_ = outer; }
-    } current{std::exchange(t_current_, this)};
     try {
       task();
     } catch (const std::exception& e) {
       CQOS_LOG_ERROR("unhandled exception in pool task: ", e.what());
     }
   }
-  /// The pool whose task the calling thread is running, if any.
-  static inline thread_local PriorityThreadPool* t_current_ = nullptr;
 
   void start_workers(int num_threads);
   void worker_loop();
@@ -171,10 +160,6 @@ class PriorityThreadPool {
   /// matching leave_inline() frees it.
   bool enter_inline();
   void leave_inline();
-  /// A BlockingSection's slot: lend frees it (waking a worker for queued
-  /// work), reclaim takes it back even above the bound.
-  void lend_slot();
-  void reclaim_slot();
   bool queues_empty() const CQOS_REQUIRES(mu_);
   bool pop_next(Item& out) CQOS_REQUIRES(mu_);
   void advance_wrr() CQOS_REQUIRES(mu_);
@@ -187,8 +172,7 @@ class PriorityThreadPool {
   std::size_t wrr_idx_ CQOS_GUARDED_BY(mu_) = 0;   // class being served
   int wrr_credit_ CQOS_GUARDED_BY(mu_) = 0;        // remaining weight share
   std::uint64_t next_seq_ CQOS_GUARDED_BY(mu_) = 0;
-  /// Tasks running now, on workers and inline, less those waiting in a
-  /// BlockingSection; above slots_ only while such waits end.
+  /// Tasks running now, on workers and inline.
   int running_ CQOS_GUARDED_BY(mu_) = 0;
   bool shutdown_ CQOS_GUARDED_BY(mu_) = false;
 
@@ -206,25 +190,6 @@ class PriorityThreadPool {
   // Written only by the constructor; joined under join_mu_. Safe to size()
   // from any thread once construction completes.
   std::vector<std::thread> workers_;
-};
-
-/// Scope in which a pool task waits for work done elsewhere (a parked
-/// request waiting for the message that releases it). Its slot is lent out
-/// for the scope, so that work can still start in this pool. A no-op on a
-/// thread that is not running a pool task.
-class BlockingSection {
- public:
-  BlockingSection() : pool_(PriorityThreadPool::t_current_) {
-    if (pool_ != nullptr) pool_->lend_slot();
-  }
-  ~BlockingSection() {
-    if (pool_ != nullptr) pool_->reclaim_slot();
-  }
-  BlockingSection(const BlockingSection&) = delete;
-  BlockingSection& operator=(const BlockingSection&) = delete;
-
- private:
-  PriorityThreadPool* pool_;
 };
 
 }  // namespace cqos::cactus

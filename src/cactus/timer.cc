@@ -9,14 +9,13 @@ TimerService::TimerService() : thread_([this] { loop(); }) {}
 TimerService::~TimerService() { shutdown(); }
 
 TimerId TimerService::schedule(Duration delay, std::function<void()> fn) {
-  TimerId id;
-  {
-    MutexLock lk(mu_);
-    if (shutdown_) return kInvalidTimer;
-    id = next_id_++;
-    pending_.emplace(now() + delay, Entry{id, std::move(fn)});
-    cv_.notify_one();
-  }
+  MutexLock lk(mu_);
+  if (shutdown_) return kInvalidTimer;
+  TimerId id = next_id_++;
+  TimePoint at = now() + delay;
+  pending_.emplace(at, Entry{id, std::move(fn)});
+  // The loop sleeps until wake_at_; wake it only to fire earlier.
+  if (at < wake_at_) cv_.notify_one();
   return id;
 }
 
@@ -54,6 +53,7 @@ void TimerService::loop() {
       MutexLock lk(mu_);
       if (shutdown_) return;
       if (pending_.empty()) {
+        wake_at_ = TimePoint::max();
         cv_.wait(mu_);
       } else {
         auto first = pending_.begin();
@@ -61,6 +61,7 @@ void TimerService::loop() {
         if (now() < deadline) {
           // Re-evaluate after the wait: an earlier timer may have been
           // added or this one cancelled while we slept.
+          wake_at_ = deadline;
           cv_.wait_until(mu_, deadline);
         } else {
           entry = std::move(first->second);

@@ -50,6 +50,8 @@ class TimerService {
   CondVar cv_;
   std::multimap<TimePoint, Entry> pending_ CQOS_GUARDED_BY(mu_);
   TimerId next_id_ CQOS_GUARDED_BY(mu_) = 1;
+  /// When the loop wakes next on its own (max: only when notified).
+  TimePoint wake_at_ CQOS_GUARDED_BY(mu_) = TimePoint::max();
   bool shutdown_ CQOS_GUARDED_BY(mu_) = false;
 
   // Lock hierarchy: join_mu_ is only taken with mu_ released (no inversion).

@@ -1,20 +1,15 @@
 #include "cqos/cactus_server.h"
 
-#include <algorithm>
-
-#include "cactus/thread_pool.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "cqos/events.h"
-#include "platform/pending.h"
 
 namespace cqos {
 namespace {
 
 // Default drop handler: an async activation the runtime pool could not run
-// (rejected or shutting down) must fail its request instead of leaving the
-// waiting skeleton thread — and through it the client — to hang until the
-// timeout. composite.cc already counted the drop (cactus.pool.async_dropped).
+// (rejected or shutting down) fails its request at once rather than leave
+// it parked until the timeout (composite.cc counted the drop).
 cactus::CompositeProtocol::Options with_drop_handler(
     cactus::CompositeProtocol::Options o) {
   if (!o.on_async_drop) {
@@ -60,24 +55,20 @@ void CactusServer::process_request(const RequestPtr& req) {
     trace::ScopedSpan span(req->trace_id, "cqos.cactus.server.process",
                            req->method, &hist);
     proto_.raise(ev::kNewServerRequest, req);
-    bool done = req->is_done();
-    if (!done) {
-      // Parked (total order, scheduling) until another thread releases it.
-      // The wait lends this thread's dispatch slot, so the message that
-      // releases it (ordering info) can still be dispatched when every
-      // slot holds a parked request. Run on its waiting caller's thread, it
-      // is given up at the caller's deadline and the caller times out then,
-      // as against a server on another thread: that timeout is how a
-      // replicated client drops a replica that cannot keep up.
-      cactus::BlockingSection lend_slot;
-      Duration for_caller = plat::caller_deadline() - now();
-      done = req->wait(std::min(process_timeout_, for_caller));
-      if (!done && for_caller < process_timeout_) plat::caller_timed_out();
-    }
-    if (!done) {
-      req->complete(false, Value(), "cqos: server-side processing timed out");
-    }
   }
+  if (req->is_done()) return returned(req);
+  // Parked until another thread releases it (ordering info, a scheduler's
+  // release): that thread, or the timer, completes and returns it.
+  cactus::TimerId timer = proto_.timers().schedule(process_timeout_, [req] {
+    req->complete(false, Value(), "cqos: server-side processing timed out");
+  });
+  req->when_done([this, timer](Request& done) {
+    proto_.timers().cancel(timer);
+    returned(done.shared_from_this());
+  });
+}
+
+void CactusServer::returned(const RequestPtr& req) {
   gate_.exit();
   // The reply is (about to be) sent back to the client; let scheduling
   // micro-protocols release queued work. Runs outside the gate: with zero

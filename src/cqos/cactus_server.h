@@ -1,5 +1,5 @@
 // Cactus server (paper §2.3.2): the server-side composite protocol. The CQoS
-// skeleton notifies it of incoming invocations via cactus_invoke(); control
+// skeleton hands it incoming invocations via process_request(); control
 // messages from peer replicas (PassiveRep forwarding, TotalOrder ordering
 // info) arrive through handle_control(), which raises "ctl:<name>" events.
 #pragma once
@@ -43,8 +43,8 @@ class CactusServer {
       o.use_thread_pool = true;
       return o;
     }();
-    /// Upper bound on one request's server-side processing (covers queueing
-    /// delays introduced by the scheduling micro-protocols).
+    /// How long a request stays parked (total order, a scheduler) before it
+    /// fails with "cqos: server-side processing timed out".
     Duration process_timeout = ms(3000);
   };
 
@@ -67,14 +67,14 @@ class CactusServer {
     proto_.add_protocol(std::move(mp));
   }
 
-  /// Blocking: raise newServerRequest, wait until the request has been
-  /// executed (possibly deferred by scheduling micro-protocols), then raise
-  /// requestReturned. Called by the skeleton for client requests and by
-  /// PassiveRep for forwarded requests.
+  /// The paper's Cactus invoke: raise newServerRequest and return without
+  /// waiting. A request the micro-protocols parked (total order, a
+  /// scheduler) is returned by whichever thread completes it, or failed at
+  /// process_timeout by a timer armed for it alone; returning leaves the
+  /// reconfiguration gate and raises requestReturned. The caller answers
+  /// from the request's completion. Called by the skeleton for client
+  /// requests and by PassiveRep for forwarded requests.
   void process_request(const RequestPtr& req);
-
-  /// Alias matching the paper's interface name.
-  void cactus_invoke(const RequestPtr& req) { process_request(req); }
 
   /// Raise the control event for an incoming "__cqos.ctl.<control>" call;
   /// returns the handler-provided reply value.
@@ -89,6 +89,8 @@ class CactusServer {
   QuiesceGate& reconfig_gate() { return gate_; }
 
  private:
+  void returned(const RequestPtr& req);  // once the request is done
+
   cactus::CompositeProtocol proto_;
   std::unique_ptr<ServerQosInterface> qos_;
   Duration process_timeout_;

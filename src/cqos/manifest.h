@@ -79,12 +79,6 @@ struct MicroManifest {
   }
   MicroManifest& property(std::string_view p) { return push(properties, p); }
 
-  bool declares_bind(std::string_view event) const {
-    return has(bind_events, event);
-  }
-  bool declares_raise(std::string_view event) const {
-    return has(raise_events, event);
-  }
   bool has_property(std::string_view p) const { return has(properties, p); }
   bool accepts_config(std::string_view key) const {
     return has(config_keys, key);

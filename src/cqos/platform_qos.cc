@@ -136,8 +136,8 @@ PlatformServerQos::PlatformServerQos(plat::Platform& platform,
 
 void PlatformServerQos::invoke_servant(Request& req) {
   // Stage, don't finish: invokeReturn handlers may still transform the
-  // result (encryption, signing) before the base returnReleaser releases
-  // the skeleton thread.
+  // result (encryption, signing) before the base returnReleaser completes
+  // the request.
   try {
     Value result = servant_->dispatch(req.method, req.params());
     req.stage(true, std::move(result));

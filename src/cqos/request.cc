@@ -3,6 +3,7 @@
 #include <atomic>
 
 #include "common/metrics.h"
+#include "platform/api.h"
 
 namespace cqos {
 namespace {
@@ -71,13 +72,18 @@ bool Request::encode_cache_enabled() {
 }
 
 bool Request::complete(bool success, Value result, std::string error) {
-  MutexLock lk(mu_);
-  if (done_) return false;
-  done_ = true;
-  success_ = success;
-  result_ = std::move(result);
-  error_ = std::move(error);
-  cv_.notify_all();
+  std::vector<DoneHook> hooks;
+  {
+    MutexLock lk(mu_);
+    if (done_) return false;
+    done_ = true;
+    success_ = success;
+    result_ = std::move(result);
+    error_ = std::move(error);
+    hooks.swap(done_hooks_);
+    cv_.notify_all();
+  }
+  for (DoneHook& hook : hooks) hook(*this);
   return true;
 }
 
@@ -90,10 +96,23 @@ void Request::stage(bool success, Value result, std::string error) {
 }
 
 void Request::finish() {
-  MutexLock lk(mu_);
-  if (done_) return;
-  done_ = true;
-  cv_.notify_all();
+  std::vector<DoneHook> hooks;
+  {
+    MutexLock lk(mu_);
+    if (done_) return;
+    done_ = true;
+    hooks.swap(done_hooks_);
+    cv_.notify_all();
+  }
+  for (DoneHook& hook : hooks) hook(*this);
+}
+
+void Request::when_done(DoneHook hook) {
+  {
+    MutexLock lk(mu_);
+    if (!done_) return done_hooks_.push_back(std::move(hook));
+  }
+  hook(*this);
 }
 
 bool Request::staged_success() const {
@@ -215,6 +234,7 @@ void Request::reset(std::string object_id_in, std::string method_in,
   result_ = Value();
   error_.clear();
   reply_pb_.clear();
+  done_hooks_.clear();
   expected_replies_ = 1;
   successes_ = 0;
   failures_ = 0;
@@ -248,10 +268,7 @@ RequestPtr Request::decode_forwarded(const std::string& object_id,
   ByteReader pb_reader(args.at(3).as_bytes());
   req->piggyback = decode_piggyback(pb_reader);
   req->forwarded = true;
-  auto it = req->piggyback.find(pbkey::kPriority);
-  if (it != req->piggyback.end()) {
-    req->priority = static_cast<int>(it->second.as_i64());
-  }
+  req->priority = plat::piggyback_priority(req->piggyback, req->priority);
   auto trace_it = req->piggyback.find(pbkey::kTraceId);
   if (trace_it != req->piggyback.end()) {
     req->trace_id = static_cast<std::uint64_t>(trace_it->second.as_i64());

@@ -12,9 +12,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/priority.h"
@@ -50,7 +52,6 @@ inline constexpr const char* kPriority = "cq.prio";
 inline constexpr const char* kPrincipal = "cq.principal";
 inline constexpr const char* kEncrypted = "cq.enc";
 inline constexpr const char* kHmac = "cq.hmac";
-inline constexpr const char* kForwarded = "cq.fwd";
 /// Trace id minted by the CQoS stub; carried to the skeleton in the
 /// request piggyback and echoed back in the reply piggyback so one id
 /// spans stub -> micro-protocols -> skeleton -> reply.
@@ -71,7 +72,7 @@ inline constexpr const char* kOverloadRejected = "overload-rejected";
 inline constexpr const char* kDeadlineExceeded = "deadline-exceeded";
 }  // namespace pbstatus
 
-class Request {
+class Request : public std::enable_shared_from_this<Request> {
  public:
   /// Globally unique id (stamped by the client stub, carried in piggyback).
   static std::uint64_t next_id();
@@ -131,8 +132,8 @@ class Request {
 
   /// Server-side two-phase completion: invoke_servant() *stages* the outcome
   /// so invokeReturn handlers (reply encryption, signing, forwarding) can
-  /// still transform it; the base returnReleaser then finish()es, releasing
-  /// the waiting skeleton thread. stage() after completion is a no-op.
+  /// still transform it; the base returnReleaser then finish()es, completing
+  /// the request with it. stage() after completion is a no-op.
   void stage(bool success, Value result, std::string error = {});
   void finish();
 
@@ -158,6 +159,12 @@ class Request {
 
   /// Block until complete() was called. Returns false on timeout.
   bool wait(Duration timeout);
+
+  /// Run `hook` once the request is done: now if it is, else on the thread
+  /// that completes it, after its locks are released. Hooks run in the
+  /// order added and must not throw.
+  using DoneHook = std::function<void(Request&)>;
+  void when_done(DoneHook hook);
 
   bool is_done() const;
   bool succeeded() const;
@@ -218,6 +225,7 @@ class Request {
   Value result_ CQOS_GUARDED_BY(mu_);
   std::string error_ CQOS_GUARDED_BY(mu_);
   PiggybackMap reply_pb_ CQOS_GUARDED_BY(mu_);
+  std::vector<DoneHook> done_hooks_ CQOS_GUARDED_BY(mu_);
   int expected_replies_ CQOS_GUARDED_BY(mu_) = 1;
   int successes_ CQOS_GUARDED_BY(mu_) = 0;
   int failures_ CQOS_GUARDED_BY(mu_) = 0;

@@ -12,6 +12,24 @@ metrics::Histogram& skeleton_handle_hist() {
       metrics::Registry::global().histogram("cqos.skeleton.handle");
   return h;
 }
+
+plat::Reply reply_of(const Request& req) {
+  plat::Reply reply;
+  if (req.succeeded()) {
+    reply.status = plat::ReplyStatus::kOk;
+    reply.result = req.result();
+  } else {
+    reply.status = plat::ReplyStatus::kAppError;
+    reply.error = req.error();
+  }
+  reply.piggyback = req.reply_piggyback();
+  // Echo the trace id so the reply leg is attributable client-side.
+  if (req.trace_id != 0) {
+    reply.piggyback[pbkey::kTraceId] =
+        Value(static_cast<std::int64_t>(req.trace_id));
+  }
+  return reply;
+}
 }  // namespace
 
 CqosSkeleton::CqosSkeleton(std::string object_id,
@@ -33,10 +51,7 @@ RequestPtr CqosSkeleton::build_request(const std::string& method,
   req->id = id_it != piggyback.end()
                 ? static_cast<std::uint64_t>(id_it->second.as_i64())
                 : Request::next_id();
-  auto prio_it = piggyback.find(pbkey::kPriority);
-  if (prio_it != piggyback.end()) {
-    req->priority = static_cast<int>(prio_it->second.as_i64());
-  }
+  req->priority = plat::piggyback_priority(piggyback, req->priority);
   auto trace_it = piggyback.find(pbkey::kTraceId);
   if (trace_it != piggyback.end()) {
     req->trace_id = static_cast<std::uint64_t>(trace_it->second.as_i64());
@@ -52,21 +67,20 @@ RequestPtr CqosSkeleton::build_request(const std::string& method,
   return req;
 }
 
-plat::Reply CqosSkeleton::handle(const std::string& method, ValueList params,
-                                 PiggybackMap piggyback) {
-  plat::Reply reply;
-
+void CqosSkeleton::handle(const std::string& method, ValueList params,
+                          PiggybackMap piggyback, plat::ReplyHandle reply) {
   // Replica-to-replica (and bootstrap) control path.
   if (method.starts_with(ev::kCtlMethodPrefix)) {
+    plat::Reply out;
     if (!server_) {
-      reply.status = plat::ReplyStatus::kAppError;
-      reply.error = "no cactus server attached";
-      return reply;
+      out.status = plat::ReplyStatus::kAppError;
+      out.error = "no cactus server attached";
+    } else {
+      std::string control = method.substr(ev::kCtlMethodPrefix.size());
+      out.status = plat::ReplyStatus::kOk;
+      out.result = server_->handle_control(control, std::move(params));
     }
-    std::string control = method.substr(ev::kCtlMethodPrefix.size());
-    reply.status = plat::ReplyStatus::kOk;
-    reply.result = server_->handle_control(control, std::move(params));
-    return reply;
+    return reply.send(std::move(out));
   }
 
   RequestPtr req = build_request(method, std::move(params), std::move(piggyback));
@@ -75,7 +89,7 @@ plat::Reply CqosSkeleton::handle(const std::string& method, ValueList params,
     trace::ScopedSpan span(req->trace_id, "cqos.skeleton.handle", method,
                            &skeleton_handle_hist());
     if (server_) {
-      server_->cactus_invoke(req);
+      server_->process_request(req);
     } else {
       // Bypass: native invocation of the servant.
       try {
@@ -87,35 +101,29 @@ plat::Reply CqosSkeleton::handle(const std::string& method, ValueList params,
     }
   }
 
-  if (req->succeeded()) {
-    reply.status = plat::ReplyStatus::kOk;
-    reply.result = req->result();
-  } else {
-    reply.status = plat::ReplyStatus::kAppError;
-    reply.error = req->error();
+  if (!req->is_done()) {
+    // Parked: the reply goes out from the request's completion.
+    auto parked = std::make_shared<plat::ReplyHandle>(std::move(reply));
+    req->when_done(
+        [parked](Request& done) { parked->send(reply_of(done)); });
+    return;
   }
-  reply.piggyback = req->reply_piggyback();
-  // Echo the trace id so the reply leg is attributable client-side.
-  if (req->trace_id != 0) {
-    reply.piggyback[pbkey::kTraceId] =
-        Value(static_cast<std::int64_t>(req->trace_id));
-  }
-  return reply;
+  reply.send(reply_of(*req));
 }
 
-plat::Reply DirectServantHandler::handle(const std::string& method,
-                                         ValueList params,
-                                         PiggybackMap piggyback) {
+void DirectServantHandler::handle(const std::string& method, ValueList params,
+                                  PiggybackMap piggyback,
+                                  plat::ReplyHandle reply) {
   (void)piggyback;
-  plat::Reply reply;
+  plat::Reply out;
   try {
-    reply.result = servant_->dispatch(method, params);
-    reply.status = plat::ReplyStatus::kOk;
+    out.result = servant_->dispatch(method, params);
+    out.status = plat::ReplyStatus::kOk;
   } catch (const std::exception& e) {
-    reply.status = plat::ReplyStatus::kAppError;
-    reply.error = e.what();
+    out.status = plat::ReplyStatus::kAppError;
+    out.error = e.what();
   }
-  return reply;
+  reply.send(std::move(out));
 }
 
 void register_cqos_skeleton(plat::Platform& platform,

@@ -27,8 +27,10 @@ class CqosSkeleton : public plat::ServantHandler {
   /// Bypass mode: direct native dispatch to the servant.
   CqosSkeleton(std::string object_id, std::shared_ptr<Servant> servant);
 
-  plat::Reply handle(const std::string& method, ValueList params,
-                     PiggybackMap piggyback) override;
+  /// Replies at once when the request is done on return from the Cactus
+  /// server; otherwise the thread that completes it sends the reply.
+  void handle(const std::string& method, ValueList params,
+              PiggybackMap piggyback, plat::ReplyHandle reply) override;
 
   const std::string& object_id() const { return object_id_; }
 
@@ -50,8 +52,8 @@ class DirectServantHandler : public plat::ServantHandler {
   explicit DirectServantHandler(std::shared_ptr<Servant> servant)
       : servant_(std::move(servant)) {}
 
-  plat::Reply handle(const std::string& method, ValueList params,
-                     PiggybackMap piggyback) override;
+  void handle(const std::string& method, ValueList params,
+              PiggybackMap piggyback, plat::ReplyHandle reply) override;
 
  private:
   std::shared_ptr<Servant> servant_;

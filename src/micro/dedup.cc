@@ -1,37 +1,38 @@
 #include "micro/dedup.h"
 
+#include <optional>
+
 namespace cqos::micro {
+
+void mirror_outcome(Request& original, const RequestPtr& duplicate) {
+  original.when_done([duplicate](Request& done) {
+    duplicate->complete(done.staged_success(), done.staged_result(),
+                        done.staged_error());
+  });
+}
 
 cactus::Handler dedup_check_handler(std::shared_ptr<DedupState> state) {
   return [state](cactus::EventContext& ctx) {
     auto req = ctx.dyn<RequestPtr>();
     RequestPtr original;
+    std::optional<DedupState::Cached> cached;
     {
       MutexLock lk(state->mu);
-      auto cached = state->cache.find(req->id);
-      if (cached != state->cache.end()) {
-        const auto& entry = cached->second;
-        req->complete(entry.success, entry.result, entry.error);
-        ctx.halt();
-        return;
+      if (auto hit = state->cache.find(req->id); hit != state->cache.end()) {
+        cached = hit->second;
+      } else if (auto [in, first] = state->inflight.emplace(req->id, req);
+                 first || in->second == req) {
+        return;  // first sighting, or a re-raise of our own parked request
+      } else {
+        original = in->second;
       }
-      auto inflight = state->inflight.find(req->id);
-      if (inflight == state->inflight.end()) {
-        state->inflight.emplace(req->id, req);
-        return;  // first sighting: continue to execution
-      }
-      if (inflight->second == req) {
-        return;  // re-raise of our own parked request, not a duplicate
-      }
-      original = inflight->second;
     }
-    // Duplicate of a request currently executing: wait for the original
-    // and mirror its outcome.
-    if (original->wait(ms(2000))) {
-      req->complete(original->staged_success(), original->staged_result(),
-                    original->staged_error());
+    if (cached) {
+      req->complete(cached->success, std::move(cached->result),
+                    std::move(cached->error));
     } else {
-      req->complete(false, Value(), "dedup: original still running");
+      // Duplicate of a request still executing: ends when the original does.
+      mirror_outcome(*original, req);
     }
     ctx.halt();
   };

@@ -16,7 +16,8 @@
 // Handlers:
 //   check (readyToInvoke, order::kDedup) — cache hit: answer and halt;
 //       first sighting: record inflight and continue; concurrent duplicate:
-//       wait for the original and mirror its staged outcome.
+//       halt, and complete it with the original's staged outcome when the
+//       original completes (mirror_outcome).
 //   store (invokeReturn, order::kStoreResult) — move the outcome into the
 //       FIFO-bounded result cache.
 #pragma once
@@ -48,6 +49,10 @@ struct DedupState {
 /// readyToInvoke handler (bind at order::kDedup): answers duplicates from
 /// the cache, parks concurrent duplicates on the in-flight original.
 cactus::Handler dedup_check_handler(std::shared_ptr<DedupState> state);
+
+/// Complete `duplicate` with `original`'s staged outcome once `original` is
+/// done, on the thread that completes it; no thread waits in between.
+void mirror_outcome(Request& original, const RequestPtr& duplicate);
 
 /// invokeReturn handler (bind at order::kStoreResult): publishes the staged
 /// outcome for future duplicates and evicts FIFO past `max_cache`.

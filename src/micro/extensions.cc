@@ -406,15 +406,10 @@ std::size_t recover_from_peer(CactusServer& server, int peer,
     have = state->log.size();
   }
 
-  // Ask the peer for everything we missed. peer_send has no reply payload
-  // channel, so use the control round trip through the QoS interface's
-  // peer refs... the control reply carries the log suffix.
-  // ServerQosInterface::peer_send returns only ok/failure; RequestLog
-  // recovery needs the payload, so it goes through a dedicated exchange:
+  // Ask the peer for everything we missed: the control reply carries the
+  // log suffix. Each entry is replayed in log order; one that a
+  // micro-protocol parks completes later, like any parked request.
   ValueList args{Value(static_cast<std::int64_t>(have))};
-  // Reuse peer_send's transport by asking the Cactus server's interface.
-  // The control handler fills msg->reply, which the skeleton returns; to
-  // receive it we need invoke-with-result semantics:
   ServerQosInterface& qos = server.qos();
   Value reply;
   if (!qos.peer_call(peer, RequestLog::kSyncControl, args, &reply)) {

@@ -5,9 +5,9 @@
 //   invokeServant  (readyToInvoke, last)    — call the server object through
 //                                             the QoS interface, raise
 //                                             invokeReturn
-//   returnReleaser (invokeReturn, last)     — finish() the request, releasing
-//                                             the skeleton thread after all
-//                                             invokeReturn handlers ran
+//   returnReleaser (invokeReturn, last)     — finish() the request, whose
+//                                             completion sends the reply, after
+//                                             all invokeReturn handlers ran
 #pragma once
 
 #include "micro/base.h"

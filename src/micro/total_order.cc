@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "common/log.h"
+#include "micro/dedup.h"
 
 namespace cqos::micro {
 namespace {
@@ -83,8 +84,8 @@ void TotalOrder::init(cactus::CompositeProtocol& proto) {
   //     through so the dedup micro-protocol (order::kDedup, later in this
   //     chain) answers it from the result cache;
   //   - duplicate of a QUEUED request (same id already parked / awaiting
-  //     ordering info under a different RequestPtr) waits for the original
-  //     and mirrors its staged outcome, dedup-style.
+  //     ordering info under a different RequestPtr) halts and ends with the
+  //     original's staged outcome when the original completes, dedup-style.
   bind_tracked(proto,
       ev::kReadyToInvoke, "checkOrder",
       [state](cactus::EventContext& ctx) {
@@ -116,13 +117,7 @@ void TotalOrder::init(cactus::CompositeProtocol& proto) {
             return;  // its turn: fall through to execution
           }
         }
-        if (original->wait(ms(2000))) {
-          req->complete(original->staged_success(), original->staged_result(),
-                        original->staged_error());
-        } else {
-          req->complete(false, Value(),
-                        "total_order: duplicate of queued request");
-        }
+        mirror_outcome(*original, req);
         ctx.halt();
       },
       order::kOrderCheck);

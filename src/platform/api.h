@@ -9,9 +9,11 @@
 // differs per platform.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "common/clock.h"
 #include "common/value.h"
@@ -34,10 +36,6 @@ inline bool is_overload_rejected(std::string_view error) {
 }
 inline bool is_deadline_exceeded(std::string_view error) {
   return has_marker(error, kDeadlineExceeded);
-}
-/// Either flavour of deliberate shedding (reject-now rather than time out).
-inline bool is_backpressure(std::string_view error) {
-  return is_overload_rejected(error) || is_deadline_exceeded(error);
 }
 
 }  // namespace cqos::status
@@ -107,14 +105,46 @@ class ObjectRef {
   virtual std::string description() const = 0;
 };
 
+/// Where replies go: the runtime sends each to its caller (tests capture).
+class ReplyOutlet {
+ public:
+  virtual ~ReplyOutlet() = default;
+  virtual void send(std::uint64_t id, const std::string& to, Reply reply) = 0;
+};
+
+/// The one-shot answer to one dispatched request, sendable from any thread
+/// after the dispatching call returned (a parked request). A handle dropped
+/// unsent sends nothing, and the caller times out.
+class ReplyHandle {
+ public:
+  ReplyHandle(std::shared_ptr<ReplyOutlet> outlet, std::uint64_t id,
+              std::string to)
+      : outlet_(std::move(outlet)), id_(id), to_(std::move(to)) {}
+  ReplyHandle(ReplyHandle&&) = default;  // move-only
+  ReplyHandle& operator=(ReplyHandle&&) = default;
+
+  /// Hands the reply to the outlet; later calls do nothing.
+  void send(Reply reply) {
+    if (auto outlet = std::move(outlet_)) {
+      outlet->send(id_, to_, std::move(reply));
+    }
+  }
+
+ private:
+  std::shared_ptr<ReplyOutlet> outlet_;
+  std::uint64_t id_;
+  std::string to_;
+};
+
 /// Server-side generic dispatch target. The platform calls handle() for
 /// every incoming request on a registered name (DSI-style single entry
-/// point; this is what makes the CQoS skeleton method-agnostic).
+/// point; this is what makes the CQoS skeleton method-agnostic), which
+/// answers through `reply`, before returning or later from another thread.
 class ServantHandler {
  public:
   virtual ~ServantHandler() = default;
-  virtual Reply handle(const std::string& method, ValueList params,
-                       PiggybackMap piggyback) = 0;
+  virtual void handle(const std::string& method, ValueList params,
+                      PiggybackMap piggyback, ReplyHandle reply) = 0;
 };
 
 /// How the server-side adapter decodes requests for a registered servant.

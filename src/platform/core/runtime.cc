@@ -46,6 +46,39 @@ class Runtime::Ref : public ObjectRef {
   std::string target_;
 };
 
+// The reply path of dispatched requests, shared by their reply handles:
+// close() waits out the sends in flight and makes every later one a no-op.
+// Every reply passes here, from every dispatch thread, so the count is one
+// atomic rather than a lock.
+class Runtime::Outlet : public ReplyOutlet {
+ public:
+  explicit Outlet(Runtime& runtime) : runtime_(runtime) {}
+
+  void send(std::uint64_t id, const std::string& to, Reply reply) override {
+    bool closed = (state_.fetch_add(kSending) & kClosed) != 0;
+    struct Sent {  // counted down even if the send throws
+      std::atomic<int>& state;
+      ~Sent() {
+        if (state.fetch_sub(kSending) == kClosed + kSending) state.notify_all();
+      }
+    } sent{state_};
+    if (closed) return;
+    runtime_.network_.send(runtime_.server_ep_->id(), to,
+                           runtime_.codec_.encode_reply(id, reply));
+  }
+
+  void close() {
+    state_.fetch_or(kClosed);
+    for (int s; (s = state_.load()) != kClosed;) state_.wait(s);
+  }
+
+ private:
+  static constexpr int kClosed = 1;
+  static constexpr int kSending = 2;  // per send in flight
+  Runtime& runtime_;
+  std::atomic<int> state_{0};
+};
+
 Runtime::Runtime(net::Transport& network, const std::string& host,
                  const char* tag, const Codec& codec, const RuntimeConfig& cfg,
                  std::string name_server, Duration bind_timeout,
@@ -57,6 +90,7 @@ Runtime::Runtime(net::Transport& network, const std::string& host,
       bind_timeout_(bind_timeout),
       call_cost_(call_cost),
       dispatch_cost_(dispatch_cost),
+      outlet_(std::make_shared<Outlet>(*this)),
       workers_(cfg.server_threads, cfg.dispatch_classes,
                host + "-" + tag_ + "-workers") {
   std::string instance = std::to_string(g_instance.fetch_add(1));
@@ -77,9 +111,10 @@ void Runtime::emu_charge(Duration d) {
 
 void Runtime::shutdown() {
   if (shutdown_.exchange(true)) return;
-  // close() waits out in-flight handlers, so none can submit to the pool
-  // once it shuts down. Removing the server endpoint frees its id for a
-  // successor on the same host.
+  // A reply sent from now on goes nowhere. close() waits out in-flight
+  // handlers, so none can submit to the pool once it shuts down. Removing
+  // the server endpoint frees its id for a successor on the same host.
+  outlet_->close();
   client_ep_->close();
   server_ep_->close();
   network_.remove_endpoint(server_ep_->id());
@@ -214,20 +249,19 @@ void Runtime::dispatch(Frame request) {
     auto it = servants_.find(request.target);
     if (it != servants_.end()) servant = it->second;
   }
-  Reply out;
+  ReplyHandle reply(outlet_, request.id, std::move(request.reply_to));
   if (!servant.handler) {
     // A system-level failure where the codec has one (GIOP); an
     // application error to the caller on every platform.
+    Reply out;
     out.status = ReplyStatus::kUnreachable;
     out.error = codec_.not_found(request.target);
-  } else {
-    emu_charge(dispatch_cost_);
-    if (servant.mode == DispatchMode::kDsi) dsi_extract(request.params);
-    out = servant.handler->handle(request.method, std::move(request.params),
-                                  std::move(request.piggyback));
+    return reply.send(std::move(out));
   }
-  network_.send(server_ep_->id(), request.reply_to,
-                codec_.encode_reply(request.id, out));
+  emu_charge(dispatch_cost_);
+  if (servant.mode == DispatchMode::kDsi) dsi_extract(request.params);
+  servant.handler->handle(request.method, std::move(request.params),
+                          std::move(request.piggyback), std::move(reply));
 }
 
 // --- NameServer ----------------------------------------------------------------

@@ -166,6 +166,7 @@ class Runtime : public Platform {
 
  private:
   class Ref;
+  class Outlet;
   struct Servant {
     std::shared_ptr<ServantHandler> handler;
     DispatchMode mode = DispatchMode::kStatic;
@@ -198,6 +199,7 @@ class Runtime : public Platform {
 
   std::shared_ptr<net::Endpoint> client_ep_;
   std::shared_ptr<net::Endpoint> server_ep_;
+  std::shared_ptr<Outlet> outlet_;  // shared by every ReplyHandle
   PendingCalls pending_;
 
   Mutex servants_mu_;

@@ -3,10 +3,8 @@
 // DESIGN.md §8): PendingCalls::call() marks its thread as a waiting caller
 // around its send, and a server handler reached by that send on the same
 // thread runs the dispatch right there (Runtime::on_server_message) instead
-// of handing it to a worker while the caller parks. That inline dispatch is
-// the one endpoint handler that blocks, and no longer than its caller's
-// deadline (caller_deadline()); threads without the mark (the TCP loop
-// thread, the simulator's delivery thread) always hand off to the pool.
+// of handing it to a worker. Threads without the mark (the TCP loop thread,
+// the simulator's delivery thread) always hand off to the pool.
 #pragma once
 
 #include <cstdint>
@@ -26,67 +24,34 @@ namespace detail {
 /// Set while PendingCalls::call() sends: this thread blocks for the reply
 /// next.
 inline thread_local bool t_waiting_caller = false;
-/// While PendingCalls::call() sends: that call's deadline, and whether a
-/// servant it runs inline gave up waiting at it.
-inline thread_local TimePoint t_caller_deadline = TimePoint::max();
-inline thread_local bool t_caller_timed_out = false;
 }  // namespace detail
-
-/// The deadline of the call whose send is running on this thread, else
-/// TimePoint::max(). A servant dispatched inline on its waiting caller's
-/// thread blocks no longer: a remote caller would have timed out by then.
-inline TimePoint caller_deadline() { return detail::t_caller_deadline; }
-
-/// Called by such a servant when it gave up waiting at caller_deadline():
-/// the call then fails with "timeout" whatever reply the servant sends, as
-/// it would have against a servant on another thread. That timeout is what
-/// tells a replicated client to stop using a server that cannot keep up.
-inline void caller_timed_out() {
-  if (detail::t_caller_deadline != TimePoint::max()) {
-    detail::t_caller_timed_out = true;
-  }
-}
 
 /// Tracks in-flight client calls keyed by request id. The client endpoint's
 /// handler completes entries; call() blocks on the entry's gate.
 class PendingCalls {
  public:
   /// One blocking request: open an entry, `send(id)` the request carrying
-  /// that id (false: the transport refused it), wait for the reply, and drop
-  /// the entry on every failure so a late reply is ignored. Failures are
-  /// kUnreachable with error "send failed", "timeout" or the fail_all()
-  /// reason. The deadline is fixed before the send; a request dispatched
-  /// inline returns from the send only after its servant, so the call then
-  /// returns the reply if one arrived, else a timeout at the later of the
-  /// servant's end and the deadline. It is a timeout too if that servant
-  /// called caller_timed_out().
+  /// that id (false: the transport refused it), wait for the reply until
+  /// the deadline, and drop the entry on every failure so a late reply is
+  /// ignored. Failures are kUnreachable with error "send failed", "timeout"
+  /// or the fail_all() reason. The deadline is fixed before the send; a
+  /// request dispatched inline returns from the send only after its
+  /// servant replied or parked the request, so the call then returns the
+  /// reply if one arrived, even past the deadline, and otherwise waits for
+  /// it until the deadline like any remote call.
   template <class Send>
   Reply call(Duration timeout, Send&& send) {
     TimePoint deadline = now() + timeout;
     auto [id, entry] = open();
     bool sent;
-    bool timed_out;
     {
       struct Mark {
-        explicit Mark(TimePoint d)
-            : outer(std::exchange(detail::t_waiting_caller, true)),
-              outer_deadline(std::exchange(detail::t_caller_deadline, d)),
-              outer_timed_out(
-                  std::exchange(detail::t_caller_timed_out, false)) {}
-        ~Mark() {
-          detail::t_waiting_caller = outer;
-          detail::t_caller_deadline = outer_deadline;
-          detail::t_caller_timed_out = outer_timed_out;
-        }
-        bool outer;
-        TimePoint outer_deadline;
-        bool outer_timed_out;
-      } mark(deadline);
+        bool outer = std::exchange(detail::t_waiting_caller, true);
+        ~Mark() { detail::t_waiting_caller = outer; }
+      } mark;
       sent = send(id);
-      timed_out = detail::t_caller_timed_out;
     }
     if (!sent) return fail(id, "send failed");
-    if (timed_out) return fail(id, "timeout");
     if (!entry->gate.wait_until(deadline)) return fail(id, "timeout");
     return std::move(entry->reply);
   }

@@ -147,7 +147,6 @@ class Cluster {
   /// reorder rates, partitions, crashes (net/fault.h). Simulator only.
   net::FaultController& faults() { return network().faults(); }
   const ClusterOptions& options() const { return opts_; }
-  plat::Platform& replica_platform(int i) { return *replicas_.at(static_cast<std::size_t>(i))->platform; }
   Servant& servant(int i) { return *replicas_.at(static_cast<std::size_t>(i))->servant; }
   CactusServer* cactus_server(int i) {
     return replicas_.at(static_cast<std::size_t>(i))->endpoint->cactus();

@@ -398,55 +398,6 @@ TEST(PriorityPool, InlineRunHoldsItsSlotAndQueuedWorkKeepsPriorityOrder) {
   EXPECT_EQ(order, (std::vector<int>{9, 5, 3}));
 }
 
-TEST(PriorityPool, BlockingSectionLendsItsSlotToTheWorkItWaitsFor) {
-  // One slot, held by an inline run that waits for a task queued behind
-  // it: only the lent slot lets that task start, on the idle worker.
-  PriorityThreadPool pool(1, "lend");
-  Gate done, resumed, release;
-  std::thread holder([&] {
-    auto wait_for_task = [&] {
-      {
-        BlockingSection blocked;
-        EXPECT_TRUE(pool.submit(kNormalPriority, [&] { done.set(); }));
-        EXPECT_TRUE(done.wait_for(ms(10000)));
-      }
-      resumed.set();
-      release.wait();
-    };
-    EXPECT_TRUE(pool.try_run_inline(kNormalPriority, wait_for_task));
-  });
-  ASSERT_TRUE(resumed.wait_for(ms(10000)));
-  // Back from the section, the inline run holds its slot again.
-  Gate later;
-  pool.submit(kNormalPriority, [&] { later.set(); });
-  EXPECT_FALSE(later.wait_for(ms(20)));
-  release.set();
-  holder.join();
-  EXPECT_TRUE(later.wait_for(ms(10000)));
-}
-
-TEST(PriorityPool, BlockingSectionOutsideAPoolTaskLendsNothing) {
-  PriorityThreadPool pool(1, "no-lend");
-  Gate entered, release;
-  std::thread holder([&] {
-    auto hold = [&] {
-      entered.set();
-      release.wait();
-    };
-    EXPECT_TRUE(pool.try_run_inline(5, hold));
-  });
-  ASSERT_TRUE(entered.wait_for(ms(10000)));
-  {
-    BlockingSection outside;  // this thread runs no task of the pool
-    bool ran = false;
-    auto task = [&] { ran = true; };
-    EXPECT_FALSE(pool.try_run_inline(5, task));
-    EXPECT_FALSE(ran);
-  }
-  release.set();
-  holder.join();
-}
-
 TEST(PriorityPool, SubmitAfterShutdownRejected) {
   PriorityThreadPool pool(2);
   pool.shutdown();

@@ -2,7 +2,11 @@
 // timeout paths, control dispatch, and micro-protocol wiring guards.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <mutex>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "cqos/cactus_client.h"
@@ -11,7 +15,9 @@
 #include "micro/acceptance.h"
 #include "micro/base.h"
 #include "micro/client_base.h"
+#include "micro/dedup.h"
 #include "micro/server_base.h"
+#include "micro/total_order.h"
 #include "sim/bank_account.h"
 
 namespace cqos {
@@ -151,9 +157,105 @@ TEST(CactusServerUnit, TimesOutWhenNoBaseInstalled) {
   opts.process_timeout = ms(80);
   CactusServer server(std::make_unique<NullServerQos>(), opts);
   auto req = std::make_shared<Request>("Obj", "m", ValueList{});
+  TimePoint start = now();
   server.process_request(req);
+  // Parked: process_request returned at once, and the timer fails it.
+  EXPECT_LT(now() - start, ms(80));
+  ASSERT_TRUE(req->wait(ms(5000)));
   EXPECT_FALSE(req->succeeded());
   EXPECT_NE(req->error().find("timed out"), std::string::npos);
+}
+
+/// Server interface whose servant answers the number of calls so far.
+class CountingServerQos : public NullServerQos {
+ public:
+  void invoke_servant(Request& req) override {
+    req.stage(true, Value(calls.fetch_add(1) + 1));
+  }
+  std::atomic<int> calls{0};
+};
+
+/// A server on a one-thread composite pool with `protocols` above the base.
+std::unique_ptr<CactusServer> one_slot_server(
+    CountingServerQos*& qos_out,
+    std::vector<std::unique_ptr<cactus::MicroProtocol>> protocols) {
+  CactusServer::Options opts;
+  opts.composite.pool_threads = 1;
+  auto qos = std::make_unique<CountingServerQos>();
+  qos_out = qos.get();
+  auto server = std::make_unique<CactusServer>(std::move(qos), opts);
+  server->add_micro_protocol(std::make_unique<micro::ServerBase>());
+  for (auto& mp : protocols) server->add_micro_protocol(std::move(mp));
+  return server;
+}
+
+/// Two deliveries of one request: the duplicate arrives while the
+/// original is parked.
+std::pair<RequestPtr, RequestPtr> original_and_duplicate() {
+  auto original = std::make_shared<Request>("Obj", "m", ValueList{});
+  auto duplicate = std::make_shared<Request>("Obj", "m", ValueList{});
+  duplicate->id = original->id;
+  return {original, duplicate};
+}
+
+TEST(CactusServerUnit, DuplicateOfARequestAwaitingItsOrderEndsWithItsOutcome) {
+  CountingServerQos* qos = nullptr;
+  std::vector<std::unique_ptr<cactus::MicroProtocol>> mps;
+  mps.push_back(std::make_unique<micro::TotalOrder>(/*coordinator=*/1));
+  auto server = one_slot_server(qos, std::move(mps));
+  auto [original, duplicate] = original_and_duplicate();
+  server->process_request(original);
+  server->process_request(duplicate);
+  EXPECT_FALSE(original->is_done());
+  EXPECT_FALSE(duplicate->is_done());
+
+  // The ordering info releases the original on the one pool thread.
+  server->handle_control(
+      micro::TotalOrder::kOrderControl,
+      {Value(static_cast<std::int64_t>(original->id)), Value(1)});
+  ASSERT_TRUE(duplicate->wait(ms(5000)));
+  ASSERT_TRUE(original->wait(ms(5000)));
+  EXPECT_TRUE(duplicate->succeeded());
+  EXPECT_EQ(duplicate->result(), original->result());
+  EXPECT_EQ(qos->calls.load(), 1);
+}
+
+TEST(CactusServerUnit, DuplicateOfAParkedRequestEndsWithItsOutcome) {
+  CountingServerQos* qos = nullptr;
+  std::vector<std::unique_ptr<cactus::MicroProtocol>> mps;
+  mps.push_back(std::make_unique<micro::Dedup>(16));
+  auto server = one_slot_server(qos, std::move(mps));
+  // Parks each request once, after the dedup check, as a scheduler would.
+  std::mutex mu;
+  RequestPtr held;
+  server->protocol().bind(
+      ev::kReadyToInvoke, "parkOnce",
+      [&](cactus::EventContext& ctx) {
+        auto req = ctx.dyn<RequestPtr>();
+        if (!req->once("parked", [] {})) return;
+        std::scoped_lock lk(mu);
+        held = req;
+        ctx.halt();
+      },
+      micro::order::kDedup + 1);
+  auto [original, duplicate] = original_and_duplicate();
+  server->process_request(original);
+  server->process_request(duplicate);
+  EXPECT_FALSE(original->is_done());
+  EXPECT_FALSE(duplicate->is_done());
+
+  RequestPtr release;
+  {
+    std::scoped_lock lk(mu);
+    release = std::move(held);
+  }
+  ASSERT_EQ(release, original);
+  server->protocol().raise_async(ev::kReadyToInvoke, release);
+  ASSERT_TRUE(duplicate->wait(ms(5000)));
+  ASSERT_TRUE(original->wait(ms(5000)));
+  EXPECT_TRUE(duplicate->succeeded());
+  EXPECT_EQ(duplicate->result(), original->result());
+  EXPECT_EQ(qos->calls.load(), 1);
 }
 
 TEST(CactusServerUnit, ControlWithoutHandlerReturnsNull) {

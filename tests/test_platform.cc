@@ -19,18 +19,18 @@ namespace {
 
 class EchoHandler : public plat::ServantHandler {
  public:
-  plat::Reply handle(const std::string& method, ValueList params,
-                     PiggybackMap piggyback) override {
+  void handle(const std::string& method, ValueList params,
+              PiggybackMap piggyback, plat::ReplyHandle out) override {
     plat::Reply reply;
     if (method == "boom") {
       reply.status = plat::ReplyStatus::kAppError;
       reply.error = "requested failure";
-      return reply;
+    } else {
+      reply.status = plat::ReplyStatus::kOk;
+      reply.result = Value(ValueList{Value(method), Value(std::move(params))});
+      reply.piggyback = std::move(piggyback);
     }
-    reply.status = plat::ReplyStatus::kOk;
-    reply.result = Value(ValueList{Value(method), Value(std::move(params))});
-    reply.piggyback = std::move(piggyback);
-    return reply;
+    out.send(std::move(reply));
   }
 };
 

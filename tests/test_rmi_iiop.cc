@@ -97,8 +97,8 @@ TEST(RmiIiop, PlainCorbaClientInteroperates) {
    public:
     explicit StaticSkeleton(std::shared_ptr<Servant> servant)
         : servant_(std::move(servant)) {}
-    plat::Reply handle(const std::string& method, ValueList params,
-                       PiggybackMap) override {
+    void handle(const std::string& method, ValueList params, PiggybackMap,
+                plat::ReplyHandle out) override {
       plat::Reply reply;
       try {
         reply.result = servant_->dispatch(method, params);
@@ -107,7 +107,7 @@ TEST(RmiIiop, PlainCorbaClientInteroperates) {
         reply.status = plat::ReplyStatus::kAppError;
         reply.error = e.what();
       }
-      return reply;
+      out.send(std::move(reply));
     }
 
    private:

@@ -125,11 +125,12 @@ TEST(AgentEdge, ReRegistrationOverwrites) {
   class Probe : public plat::ServantHandler {
    public:
     explicit Probe(std::string tag) : tag_(std::move(tag)) {}
-    plat::Reply handle(const std::string&, ValueList, PiggybackMap) override {
+    void handle(const std::string&, ValueList, PiggybackMap,
+                plat::ReplyHandle out) override {
       plat::Reply reply;
       reply.status = plat::ReplyStatus::kOk;
       reply.result = Value(tag_);
-      return reply;
+      out.send(std::move(reply));
     }
 
    private:

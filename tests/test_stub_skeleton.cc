@@ -14,6 +14,21 @@
 namespace cqos {
 namespace {
 
+/// The reply `handler` sends before it returns (kUnreachable if none).
+plat::Reply serve(plat::ServantHandler& handler, const std::string& method,
+                  ValueList params, PiggybackMap pb) {
+  struct Capture : plat::ReplyOutlet {
+    plat::Reply reply;
+    void send(std::uint64_t, const std::string&, plat::Reply r) override {
+      reply = std::move(r);
+    }
+  };
+  auto capture = std::make_shared<Capture>();
+  handler.handle(method, std::move(params), std::move(pb),
+                 plat::ReplyHandle(capture, 0, ""));
+  return std::move(capture->reply);
+}
+
 /// In-process ClientQosInterface: no platform, no network — routes directly
 /// to a servant handler, records invocation traffic.
 class LoopbackClientQos : public ClientQosInterface {
@@ -35,7 +50,7 @@ class LoopbackClientQos : public ClientQosInterface {
     pb[pbkey::kRequestId] = Value(static_cast<std::int64_t>(req.id));
     pb[pbkey::kPriority] = Value(static_cast<std::int64_t>(req.priority));
     last_piggyback_ = pb;
-    plat::Reply reply = handler_->handle(req.method, req.params(), pb);
+    plat::Reply reply = serve(*handler_, req.method, req.params(), pb);
     inv.success = reply.ok();
     inv.result = std::move(reply.result);
     inv.error = std::move(reply.error);
@@ -88,7 +103,7 @@ std::shared_ptr<CactusServer> make_server(std::shared_ptr<Servant> servant) {
 TEST(SkeletonUnit, FullModeDispatchesThroughCactusServer) {
   auto servant = std::make_shared<sim::BankAccountServant>(100);
   CqosSkeleton skeleton("Bank", make_server(servant));
-  plat::Reply reply = skeleton.handle("get_balance", {}, {});
+  plat::Reply reply = serve(skeleton, "get_balance", {}, {});
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply.result.as_i64(), 100);
 }
@@ -96,7 +111,7 @@ TEST(SkeletonUnit, FullModeDispatchesThroughCactusServer) {
 TEST(SkeletonUnit, BypassModeCallsServantNatively) {
   auto servant = std::make_shared<sim::BankAccountServant>(5);
   CqosSkeleton skeleton("Bank", servant);
-  plat::Reply reply = skeleton.handle("deposit", {Value(7)}, {});
+  plat::Reply reply = serve(skeleton, "deposit", {Value(7)}, {});
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(servant->balance(), 12);
 }
@@ -104,7 +119,7 @@ TEST(SkeletonUnit, BypassModeCallsServantNatively) {
 TEST(SkeletonUnit, ServantExceptionBecomesAppError) {
   auto servant = std::make_shared<sim::BankAccountServant>(0);
   CqosSkeleton skeleton("Bank", make_server(servant));
-  plat::Reply reply = skeleton.handle("withdraw", {Value(10)}, {});
+  plat::Reply reply = serve(skeleton, "withdraw", {Value(10)}, {});
   EXPECT_EQ(reply.status, plat::ReplyStatus::kAppError);
   EXPECT_NE(reply.error.find("insufficient funds"), std::string::npos);
 }
@@ -126,7 +141,7 @@ TEST(SkeletonUnit, PiggybackIdAndPriorityAdopted) {
   CqosSkeleton skeleton("Bank", server);
   PiggybackMap pb{{pbkey::kRequestId, Value(std::int64_t{777})},
                   {pbkey::kPriority, Value(9)}};
-  skeleton.handle("get_balance", {}, pb);
+  serve(skeleton, "get_balance", {}, pb);
   EXPECT_EQ(seen_id, 777u);
   EXPECT_EQ(seen_priority, 9);
 }
@@ -142,8 +157,8 @@ TEST(SkeletonUnit, ControlMethodRoutedToControlEvent) {
       },
       cactus::kOrderDefault);
   CqosSkeleton skeleton("Bank", server);
-  plat::Reply reply = skeleton.handle(
-      std::string(ev::kCtlMethodPrefix) + "echo", {Value("ping")}, {});
+  plat::Reply reply = serve(
+      skeleton, std::string(ev::kCtlMethodPrefix) + "echo", {Value("ping")}, {});
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply.result.as_string(), "ping");
 }
@@ -151,8 +166,8 @@ TEST(SkeletonUnit, ControlMethodRoutedToControlEvent) {
 TEST(SkeletonUnit, ControlWithoutCactusServerIsError) {
   auto servant = std::make_shared<sim::BankAccountServant>(0);
   CqosSkeleton skeleton("Bank", servant);  // bypass mode
-  plat::Reply reply = skeleton.handle(
-      std::string(ev::kCtlMethodPrefix) + "echo", {}, {});
+  plat::Reply reply = serve(
+      skeleton, std::string(ev::kCtlMethodPrefix) + "echo", {}, {});
   EXPECT_EQ(reply.status, plat::ReplyStatus::kAppError);
 }
 
@@ -211,12 +226,13 @@ TEST(StubUnit, RequestPoolReusesStructures) {
 TEST(StubUnit, CallRequestExposesReplyPiggyback) {
   class PbServant : public plat::ServantHandler {
    public:
-    plat::Reply handle(const std::string&, ValueList, PiggybackMap) override {
+    void handle(const std::string&, ValueList, PiggybackMap,
+                plat::ReplyHandle out) override {
       plat::Reply reply;
       reply.status = plat::ReplyStatus::kOk;
       reply.result = Value(1);
       reply.piggyback = {{"server.note", Value("hi")}};
-      return reply;
+      out.send(std::move(reply));
     }
   };
   auto qos = std::make_shared<LoopbackClientQos>(std::make_shared<PbServant>());

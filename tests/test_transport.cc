@@ -22,7 +22,10 @@
 #include "common/error.h"
 #include "common/metrics.h"
 #include "common/sync.h"
+#include "cqos/cactus_server.h"
+#include "cqos/events.h"
 #include "cqos/request.h"
+#include "cqos/skeleton.h"
 #include "net/fault.h"
 #include "net/framing.h"
 #include "net/sim_network.h"
@@ -500,7 +503,8 @@ INSTANTIATE_TEST_SUITE_P(Platforms, TcpClusterBothPlatforms,
 
 // Active replication with total order on one TcpTransport: every request,
 // ordering multicast and reply is delivered on its sender's thread, so
-// requests parked by total_order wait on client threads (DESIGN.md §15).
+// requests that total_order parks are dispatched on client threads
+// (DESIGN.md §15).
 ClusterOptions replicated_tcp_options() {
   ClusterOptions opts = tcp_options(PlatformKind::kRmi);
   opts.num_replicas = 3;
@@ -532,13 +536,19 @@ int deposit_concurrently(std::vector<std::unique_ptr<ClientHandle>>& clients,
   return failed.load();
 }
 
-TEST(TcpCluster, ActiveReplicationWithTotalOrderRunsConcurrentClients) {
+/// The dispatch threads of every platform runtime in the cluster.
+class TcpClusterDispatchThreads : public ::testing::TestWithParam<int> {};
+
+TEST_P(TcpClusterDispatchThreads,
+       ActiveReplicationWithTotalOrderRunsConcurrentClients) {
   // Almost every request at a non-coordinator replica parks for its
-  // ordering info, on the client pool thread that delivered it. Six
-  // clients park more requests at one replica than it has dispatch slots
-  // (8): a parked request that kept its slot would leave none for the
-  // ordering info that releases them, and every call would time out.
-  Cluster cluster(replicated_tcp_options());
+  // ordering info. Six clients park more requests at one replica than it
+  // has dispatch threads: a parked request that held its thread would
+  // leave none for the ordering info that releases them, and every call
+  // would time out.
+  ClusterOptions opts = replicated_tcp_options();
+  opts.platform_threads = GetParam();
+  Cluster cluster(opts);
   std::vector<std::unique_ptr<ClientHandle>> clients;
   for (int i = 0; i < 6; ++i) clients.push_back(cluster.make_client());
   constexpr int kCalls = 150;
@@ -568,6 +578,12 @@ TEST(TcpCluster, ActiveReplicationWithTotalOrderRunsConcurrentClients) {
   }
   EXPECT_GE(in_use, 2);
 }
+
+INSTANTIATE_TEST_SUITE_P(PlatformThreads, TcpClusterDispatchThreads,
+                         ::testing::Values(1, 2, 8),
+                         [](const auto& info) {
+                           return std::to_string(info.param);
+                         });
 
 TEST(TcpCluster, ReplicaThatMissesOrderedRequestsIsDroppedNotWaitedOn) {
   // Client 0 stops sending to replica 2, so replica 2 receives ordering
@@ -611,10 +627,11 @@ TEST(TcpCluster, SimClusterStillExposesNetworkAndFaults) {
 
 class NullServant : public plat::ServantHandler {
  public:
-  plat::Reply handle(const std::string&, ValueList, PiggybackMap) override {
+  void handle(const std::string&, ValueList, PiggybackMap,
+              plat::ReplyHandle out) override {
     plat::Reply reply;
     reply.status = plat::ReplyStatus::kOk;
-    return reply;
+    out.send(std::move(reply));
   }
 };
 
@@ -763,47 +780,6 @@ TEST(PendingCalls, EveryOutcomeLeavesTheTableEmpty) {
   EXPECT_FALSE(plat::detail::t_waiting_caller);
 }
 
-TEST(PendingCalls, ServantThatGaveUpAtTheCallersDeadlineTimesTheCallOut) {
-  plat::PendingCalls pending;
-  plat::Reply ok;
-  ok.status = plat::ReplyStatus::kOk;
-  EXPECT_EQ(plat::caller_deadline(), TimePoint::max());
-
-  // Given up inline: a timeout although the reply came in time.
-  TimePoint before = now();
-  plat::Reply r = pending.call(ms(500), [&](std::uint64_t id) {
-    EXPECT_GE(plat::caller_deadline(), before + ms(500));
-    EXPECT_LE(plat::caller_deadline(), now() + ms(500));
-    plat::caller_timed_out();
-    return pending.complete(id, ok);
-  });
-  EXPECT_EQ(r.error, "timeout");
-  EXPECT_EQ(pending.in_flight(), 0u);
-
-  // A nested call has its own deadline and outcome; the outer call's are
-  // restored after it.
-  r = pending.call(ms(500), [&](std::uint64_t id) {
-    TimePoint outer = plat::caller_deadline();
-    plat::Reply inner = pending.call(ms(100), [&](std::uint64_t inner_id) {
-      EXPECT_LT(plat::caller_deadline(), outer);
-      plat::caller_timed_out();
-      return pending.complete(inner_id, ok);
-    });
-    EXPECT_EQ(inner.error, "timeout");
-    EXPECT_EQ(plat::caller_deadline(), outer);
-    return pending.complete(id, ok);
-  });
-  EXPECT_TRUE(r.ok());
-
-  // Outside a call it marks nothing.
-  plat::caller_timed_out();
-  r = pending.call(ms(500), [&](std::uint64_t id) {
-    return pending.complete(id, ok);
-  });
-  EXPECT_TRUE(r.ok());
-  EXPECT_EQ(plat::caller_deadline(), TimePoint::max());
-}
-
 net::NetConfig zero_latency() {
   net::NetConfig cfg;
   cfg.base_latency = Duration::zero();
@@ -819,15 +795,15 @@ class ThreadProbeServant : public plat::ServantHandler {
   explicit ThreadProbeServant(std::function<plat::Reply()> body = {})
       : body_(std::move(body)) {}
 
-  plat::Reply handle(const std::string&, ValueList, PiggybackMap) override {
+  void handle(const std::string&, ValueList, PiggybackMap,
+              plat::ReplyHandle out) override {
     {
       std::scoped_lock lk(mu_);
       threads_.push_back(std::this_thread::get_id());
     }
-    if (body_) return body_();
     plat::Reply reply;
     reply.status = plat::ReplyStatus::kOk;
-    return reply;
+    out.send(body_ ? body_() : std::move(reply));
   }
 
   std::vector<std::thread::id> threads() const {
@@ -1088,6 +1064,128 @@ TEST(CallerRunsDispatch, ServantCallingBackIntoTheCallersHostCompletes) {
 
 TEST(CallerRunsDispatch, TcpServantCallingBackIntoTheCallersHostCompletes) {
   expect_callback_into_callers_host_completes(net::TransportConfig::real_tcp());
+}
+
+// --- parked requests -------------------------------------------------------------
+
+/// Keeps the reply handle of every request it is given, unsent: each
+/// request parks until the test answers it.
+class ParkingServant : public plat::ServantHandler {
+ public:
+  void handle(const std::string&, ValueList, PiggybackMap,
+              plat::ReplyHandle out) override {
+    std::scoped_lock lk(mu_);
+    parked_.push_back(std::move(out));
+  }
+
+  std::vector<plat::ReplyHandle> take() {
+    std::scoped_lock lk(mu_);
+    return std::move(parked_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<plat::ReplyHandle> parked_;
+};
+
+plat::Reply ok_reply(std::int64_t result) {
+  plat::Reply reply;
+  reply.status = plat::ReplyStatus::kOk;
+  reply.result = Value(result);
+  return reply;
+}
+
+TEST(ParkedReply, InlineCallerWaitsForAReplySentFromAnotherThread) {
+  for (PlatformKind kind : kAllPlatforms) {
+    DispatchFixture fx(kind, zero_latency(), /*server_threads=*/1);
+    auto servant = std::make_shared<ParkingServant>();
+    auto ref = publish(kind, *fx.server, "srv", *fx.client, "obj", servant);
+    std::uint64_t inline_before = dispatch_count("inline");
+    std::thread answer([&] {
+      std::vector<plat::ReplyHandle> parked;
+      for (TimePoint until = now() + ms(10000);
+           parked.empty() && now() < until; parked = servant->take()) {
+        std::this_thread::sleep_for(ms(1));
+      }
+      ASSERT_EQ(parked.size(), 1u);
+      parked[0].send(ok_reply(42));
+      parked[0].send(ok_reply(43));  // one-shot: ignored
+    });
+    plat::Reply reply = ref->invoke("m", {}, {}, ms(10000));
+    answer.join();
+    ASSERT_TRUE(reply.ok()) << kind_name(kind) << ": " << reply.error;
+    EXPECT_EQ(reply.result.as_i64(), 42) << kind_name(kind);
+    EXPECT_EQ(dispatch_count("inline") - inline_before, 1u) << kind_name(kind);
+  }
+}
+
+TEST(ParkedReply, HandleThatOutlivesItsRuntimeSendsNothing) {
+  for (PlatformKind kind : kAllPlatforms) {
+    DispatchFixture fx(kind, zero_latency(), /*server_threads=*/1);
+    auto servant = std::make_shared<ParkingServant>();
+    auto ref = publish(kind, *fx.server, "srv", *fx.client, "obj", servant);
+    // The inline caller returns from its send once the request parked,
+    // and times out at its own deadline.
+    TimePoint start = now();
+    plat::Reply reply = ref->invoke("m", {}, {}, ms(50));
+    EXPECT_EQ(reply.error, "timeout") << kind_name(kind);
+    EXPECT_GE(now() - start, ms(50)) << kind_name(kind);
+    std::vector<plat::ReplyHandle> parked = servant->take();
+    ASSERT_EQ(parked.size(), 1u) << kind_name(kind);
+
+    fx.server.reset();  // shut down and destroyed
+    std::uint64_t sent = fx.net->messages_sent();
+    parked[0].send(ok_reply(1));
+    EXPECT_EQ(fx.net->messages_sent(), sent) << kind_name(kind);
+  }
+}
+
+/// One replica, no peers; its servant answers 7.
+class LoneServerQos : public ServerQosInterface {
+ public:
+  int num_servers() const override { return 1; }
+  int replica_index() const override { return 0; }
+  const std::string& object_id() const override { return object_id_; }
+  void invoke_servant(Request& req) override { req.stage(true, Value(7)); }
+  bool peer_call(int, const std::string&, const ValueList&, Value*) override {
+    return false;
+  }
+  std::string description() const override { return "lone"; }
+
+ private:
+  std::string object_id_ = "Bank";
+};
+
+TEST(ParkedReply, ProcessTimeoutAfterRuntimeShutdownSendsNothing) {
+  // No micro-protocol completes the request, so it parks until the Cactus
+  // server's processing timeout, which fires after its runtime is gone.
+  DispatchFixture fx(PlatformKind::kRmi, zero_latency(), /*server_threads=*/1);
+  CactusServer::Options opts;
+  opts.process_timeout = ms(150);
+  auto server =
+      std::make_shared<CactusServer>(std::make_unique<LoneServerQos>(), opts);
+  std::atomic<int> returned{0};
+  server->protocol().bind(
+      ev::kRequestReturned, "probe",
+      [&](cactus::EventContext&) { returned.fetch_add(1); },
+      cactus::kOrderDefault);
+  auto skeleton = std::make_shared<CqosSkeleton>("Bank", server);
+  auto ref = publish(PlatformKind::kRmi, *fx.server, "srv", *fx.client, "obj",
+                     skeleton);
+  TimePoint start = now();
+  plat::Reply reply = ref->invoke("get_balance", {}, {}, ms(30));
+  EXPECT_EQ(reply.error, "timeout");
+  EXPECT_LT(now() - start, ms(150));
+  EXPECT_EQ(returned.load(), 0);
+
+  fx.server.reset();
+  std::uint64_t sent = fx.net->messages_sent();
+  for (TimePoint until = now() + ms(10000);
+       returned.load() == 0 && now() < until;) {
+    std::this_thread::sleep_for(ms(5));
+  }
+  EXPECT_EQ(returned.load(), 1);
+  EXPECT_EQ(fx.net->messages_sent(), sent);
 }
 
 }  // namespace

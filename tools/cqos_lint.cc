@@ -15,8 +15,9 @@
 //      Standard-vocabulary events and ev::ctl(...) control events are
 //      anchored by the runtime (cactus_client/cactus_server/skeleton) and
 //      are exempt from the raise-side check.
-//   3. no-dispatch-wait — no indefinite .wait() / ->wait() inside handler
-//      code (timed wait(ms(...)) overloads are allowed).
+//   3. no-dispatch-wait — no .wait( / ->wait( call, timed or not, in
+//      micro-protocol code: a request that must wait for another one hangs
+//      a completion hook on it (Request::when_done) instead.
 //   4. cfg-factories  — every protocol named in examples/sample.cfg must
 //      map to a factory registered for that side in src/micro/standard.cc.
 //   5. manifest-sync  — every class that defines
@@ -302,14 +303,15 @@ void collect_events(const std::string& fname, const FlatText& f, Corpus& c) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 3: no indefinite wait on the dispatch thread.
+// Rule 3: no wait on the dispatch thread, timed or not.
 // ---------------------------------------------------------------------------
 void check_no_blocking_wait(const std::string& fname, const FlatText& f) {
-  for (const char* pat : {".wait()", "->wait()"}) {
+  for (const char* pat : {".wait(", "->wait("}) {
     for (std::size_t pos : find_calls(f.text, pat)) {
       fail(fname + ":" + std::to_string(line_at(f, pos)), "no-dispatch-wait",
-           "indefinite wait() in micro-protocol code — handlers run on the "
-           "composite's dispatch thread; use a timed wait(duration)");
+           "wait() in micro-protocol code — handlers run on the composite's "
+           "dispatch thread; hang a completion hook on the request "
+           "(Request::when_done) instead");
     }
   }
 }
