@@ -102,7 +102,6 @@ ClassStats run_config(sim::PlatformKind kind, const Config& config,
   opts.net = bench_net();
   opts.emulate_testbed = true;
   opts.request_timeout = ms(10000);
-  opts.platform_threads = 24;  // parked ordered requests hold worker threads
   opts.servant_factory = [] {
     return std::make_shared<BusyServant>(us(1200));
   };

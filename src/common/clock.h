@@ -13,15 +13,16 @@ using Duration = Clock::duration;
 
 inline TimePoint now() { return Clock::now(); }
 
-/// Which clock a simulated component schedules against.
+/// Which clock a simulated component schedules against. It picks only the
+/// clock and who drives the event loop (net/sim_network.h):
 ///
-///   kReal    wall time (std::chrono::steady_clock): latencies are slept
-///            through by blocking receivers — the threaded mode every
+///   kReal    wall time (std::chrono::steady_clock), driven by a delivery
+///            thread as the wall clock reaches each event — what every
 ///            in-process deployment (Cluster, tests, benches) runs on.
-///   kVirtual discrete-event time (VirtualClock): nothing sleeps; a central
-///            event queue advances the clock straight to the next event's
-///            timestamp, so simulated hours cost wall-clock seconds and a
-///            run is a deterministic function of its seeds.
+///   kVirtual discrete-event time (VirtualClock): nothing sleeps; the
+///            caller's run_until() advances the clock straight to the next
+///            event's timestamp, so simulated hours cost wall-clock seconds
+///            and a run is a deterministic function of its seeds.
 enum class TimeMode { kReal, kVirtual };
 
 /// Discrete-event simulation clock. Starts at TimePoint{} (the epoch of the

@@ -192,15 +192,7 @@ Duration FaultPlan::duration() const {
 // --- FaultController ---------------------------------------------------------
 
 FaultController::FaultController(SimNetwork& net, std::uint64_t seed)
-    : net_(net), stream_seed_(seed) {
-  // Virtual mode has no wall-clock deadlines to chase: plan events and hold
-  // sweeps are pulled by SimNetwork::run_until via next_virtual_deadline().
-  if (!net_.virtual_mode()) {
-    worker_ = std::thread([this] { worker_loop(); });
-  }
-}
-
-TimePoint FaultController::net_now() const { return net_.net_now(); }
+    : net_(net), stream_seed_(seed) {}
 
 Rng& FaultController::stream(const std::string& from) {
   return streams_.try_emplace(from, Rng(stream_seed_)).first->second;
@@ -216,15 +208,8 @@ void FaultController::refresh_quiescent() {
 }
 
 FaultController::~FaultController() {
-  std::vector<Message> held;
-  {
-    MutexLock lk(mu_);
-    stop_ = true;
-    held = take_all_held();
-    cv_.notify_all();
-  }
-  if (worker_.joinable()) worker_.join();
-  for (Message& m : held) BufferPool::recycle(std::move(m.payload));
+  MutexLock lk(mu_);
+  for (Message& m : take_all_held()) BufferPool::recycle(std::move(m.payload));
 }
 
 std::vector<Message> FaultController::take_all_held() {
@@ -240,19 +225,23 @@ std::vector<Message> FaultController::take_all_held() {
 // --- plan execution ----------------------------------------------------------
 
 void FaultController::run_plan(FaultPlan plan) {
-  MutexLock lk(mu_);
-  plan_ = std::move(plan);
-  next_event_ = 0;
-  plan_t0_ = net_now();
-  plan_active_ = !plan_.events.empty();
-  // Restart every sender's decision stream from the plan seed: decisions
-  // become a deterministic function of (plan seed, per-sender traffic).
-  stream_seed_ = plan_.seed;
-  streams_.clear();
-  trace_.clear();
-  trace_.push_back("plan " + plan_.name + " seed " +
-                   std::to_string(plan_.seed));
-  cv_.notify_all();
+  TimePoint first = TimePoint::max();
+  {
+    MutexLock lk(mu_);
+    plan_ = std::move(plan);
+    next_event_ = 0;
+    plan_t0_ = net_.net_now();
+    plan_active_ = !plan_.events.empty();
+    if (plan_active_) first = plan_t0_ + plan_.events.front().at;
+    // Restart every sender's decision stream from the plan seed: decisions
+    // become a deterministic function of (plan seed, per-sender traffic).
+    stream_seed_ = plan_.seed;
+    streams_.clear();
+    trace_.clear();
+    trace_.push_back("plan " + plan_.name + " seed " +
+                     std::to_string(plan_.seed));
+  }
+  net_.arm_fault(first);
 }
 
 bool FaultController::plan_active() const {
@@ -275,66 +264,9 @@ std::vector<std::string> FaultController::event_trace() const {
   return trace_;
 }
 
-void FaultController::worker_loop() {
-  for (;;) {
-    std::vector<FaultEvent> due;
-    std::vector<Message> swept;
-    {
-      MutexLock lk(mu_);
-      for (;;) {
-        if (stop_) return;
-        TimePoint nw = now();
-        while (plan_active_ && next_event_ < plan_.events.size() &&
-               plan_t0_ + plan_.events[next_event_].at <= nw) {
-          due.push_back(plan_.events[next_event_]);
-          trace_.push_back(plan_.events[next_event_].describe());
-          ++next_event_;
-        }
-        // Sweep expired holdbacks so reordered messages are never stranded.
-        for (auto it = holds_.begin(); it != holds_.end();) {
-          auto& vec = it->second;
-          for (auto h = vec.begin(); h != vec.end();) {
-            if (h->deadline <= nw) {
-              swept.push_back(std::move(h->msg));
-              holds_active_.fetch_sub(1, std::memory_order_release);
-              h = vec.erase(h);
-            } else {
-              ++h;
-            }
-          }
-          it = vec.empty() ? holds_.erase(it) : std::next(it);
-        }
-        if (!due.empty() || !swept.empty()) break;
-        // Next wake-up: earliest of next plan event / earliest hold deadline.
-        TimePoint wake = TimePoint::max();
-        if (plan_active_ && next_event_ < plan_.events.size()) {
-          wake = plan_t0_ + plan_.events[next_event_].at;
-        }
-        for (const auto& [to, vec] : holds_) {
-          for (const Held& h : vec) wake = std::min(wake, h.deadline);
-        }
-        if (wake == TimePoint::max()) {
-          cv_.wait(mu_);
-        } else {
-          cv_.wait_until(mu_, wake);
-        }
-      }
-    }
-    for (const FaultEvent& e : due) apply_event(e);
-    for (Message& m : swept) net_.deposit_swept(std::move(m));
-    {
-      MutexLock lk(mu_);
-      if (plan_active_ && next_event_ >= plan_.events.size()) {
-        plan_active_ = false;
-        cv_.notify_all();
-      }
-    }
-  }
-}
+// --- deadlines, pulled by the network's event loop --------------------------
 
-// --- virtual-time pull interface ---------------------------------------------
-
-TimePoint FaultController::next_virtual_deadline() const {
+TimePoint FaultController::next_deadline() const {
   MutexLock lk(mu_);
   TimePoint next = TimePoint::max();
   if (plan_active_ && next_event_ < plan_.events.size()) {
@@ -346,37 +278,32 @@ TimePoint FaultController::next_virtual_deadline() const {
   return next;
 }
 
-void FaultController::advance_virtual(TimePoint vnow) {
+void FaultController::advance(TimePoint nw) {
   std::vector<FaultEvent> due;
   std::vector<Message> swept;
-  bool finished = false;
   {
     MutexLock lk(mu_);
     while (plan_active_ && next_event_ < plan_.events.size() &&
-           plan_t0_ + plan_.events[next_event_].at <= vnow) {
+           plan_t0_ + plan_.events[next_event_].at <= nw) {
       due.push_back(plan_.events[next_event_]);
       trace_.push_back(plan_.events[next_event_].describe());
       ++next_event_;
     }
-    if (plan_active_ && next_event_ >= plan_.events.size()) finished = true;
+    // Sweep expired holdbacks so reordered messages are never stranded.
     for (auto it = holds_.begin(); it != holds_.end();) {
-      auto& vec = it->second;
-      for (auto h = vec.begin(); h != vec.end();) {
-        if (h->deadline <= vnow) {
-          swept.push_back(std::move(h->msg));
-          holds_active_.fetch_sub(1, std::memory_order_release);
-          h = vec.erase(h);
-        } else {
-          ++h;
-        }
-      }
-      it = vec.empty() ? holds_.erase(it) : std::next(it);
+      std::erase_if(it->second, [&](Held& h) {
+        if (h.deadline > nw) return false;
+        swept.push_back(std::move(h.msg));
+        return true;
+      });
+      it = it->second.empty() ? holds_.erase(it) : std::next(it);
     }
+    holds_active_.fetch_sub(swept.size(), std::memory_order_release);
   }
   for (const FaultEvent& e : due) apply_event(e);
   for (Message& m : swept) net_.deposit_swept(std::move(m));
-  if (finished) {
-    MutexLock lk(mu_);
+  MutexLock lk(mu_);
+  if (plan_active_ && next_event_ >= plan_.events.size()) {
     plan_active_ = false;
     cv_.notify_all();
   }
@@ -423,7 +350,7 @@ void FaultController::crash_host(const std::string& host) {
     refresh_quiescent();
   }
   // Endpoint marks are applied outside mu_ (SimNetwork takes its own lock).
-  net_.apply_crash(host);
+  net_.set_crashed(host, true);
 }
 
 void FaultController::recover_host(const std::string& host) {
@@ -432,7 +359,7 @@ void FaultController::recover_host(const std::string& host) {
     crashed_.erase(host);
     refresh_quiescent();
   }
-  net_.apply_recover(host);
+  net_.set_crashed(host, false);
 }
 
 void FaultController::partition(const std::string& host_a,
@@ -474,14 +401,14 @@ void FaultController::drop_burst(const std::string& host_a,
                                  const std::string& host_b, Duration duration,
                                  double rate) {
   MutexLock lk(mu_);
-  bursts_.push_back(Burst{host_a, host_b, rate, net_now() + duration});
+  bursts_.push_back(Burst{host_a, host_b, rate, net_.net_now() + duration});
   refresh_quiescent();
 }
 
 void FaultController::latency_spike(Duration duration, double factor,
                                     Duration extra) {
   MutexLock lk(mu_);
-  spikes_.push_back(Spike{factor, extra, net_now() + duration});
+  spikes_.push_back(Spike{factor, extra, net_.net_now() + duration});
   refresh_quiescent();
 }
 
@@ -502,7 +429,7 @@ void FaultController::clear_all_faults() {
     refresh_quiescent();
     held = take_all_held();
   }
-  for (const std::string& host : to_recover) net_.apply_recover(host);
+  for (const std::string& host : to_recover) net_.set_crashed(host, false);
   for (Message& m : held) net_.deposit_swept(std::move(m));
 }
 
@@ -525,7 +452,7 @@ std::size_t FaultController::held_count() const {
   return n;
 }
 
-// --- send-path hooks (called under SimNetwork::mu_) --------------------------
+// --- send-path hooks ---------------------------------------------------------
 
 FaultDecision FaultController::judge(const std::string& from,
                                      const std::string& from_host,
@@ -553,7 +480,7 @@ FaultDecision FaultController::judge(const std::string& from,
   if (loopback) return d;  // loopback is exempt from lossy/wire faults
 
   Rng& rng = stream(from);
-  TimePoint nw = net_now();
+  TimePoint nw = net_.net_now();
   for (auto it = bursts_.begin(); it != bursts_.end();) {
     if (it->until <= nw) {
       it = bursts_.erase(it);
@@ -599,10 +526,14 @@ FaultDecision FaultController::judge(const std::string& from,
 }
 
 void FaultController::hold(const std::string& to, Message msg, int defer) {
-  MutexLock lk(mu_);
-  holds_[to].push_back(Held{std::move(msg), defer, net_now() + max_hold_});
-  holds_active_.fetch_add(1, std::memory_order_release);
-  cv_.notify_all();  // worker recomputes its sweep deadline
+  TimePoint deadline;
+  {
+    MutexLock lk(mu_);
+    deadline = net_.net_now() + max_hold_;
+    holds_[to].push_back(Held{std::move(msg), defer, deadline});
+    holds_active_.fetch_add(1, std::memory_order_release);
+  }
+  net_.arm_fault(deadline);  // the loop sweeps the hold if no send frees it
 }
 
 std::vector<Message> FaultController::on_send(const std::string& to,
@@ -615,21 +546,17 @@ std::vector<Message> FaultController::on_send(const std::string& to,
   MutexLock lk(mu_);
   auto it = holds_.find(to);
   if (it == holds_.end()) return released;
-  auto& vec = it->second;
-  for (auto h = vec.begin(); h != vec.end();) {
-    if (--h->remaining <= 0) {
-      // Same deliver_at as the trigger message: the inbox multimap keeps
-      // equal keys in insertion order, and the trigger is deposited first,
-      // so the hold is overtaken by exactly the sends that released it.
-      h->msg.deliver_at = deliver_at;
-      released.push_back(std::move(h->msg));
-      holds_active_.fetch_sub(1, std::memory_order_release);
-      h = vec.erase(h);
-    } else {
-      ++h;
-    }
-  }
-  if (vec.empty()) holds_.erase(it);
+  std::erase_if(it->second, [&](Held& h) {
+    if (--h.remaining > 0) return false;
+    // Same deliver_at as the trigger message: the pending queue keeps equal
+    // timestamps in arrival order, and the trigger is queued first, so the
+    // hold is overtaken by exactly the sends that released it.
+    h.msg.deliver_at = deliver_at;
+    released.push_back(std::move(h.msg));
+    return true;
+  });
+  holds_active_.fetch_sub(released.size(), std::memory_order_release);
+  if (it->second.empty()) holds_.erase(it);
   return released;
 }
 

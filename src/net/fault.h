@@ -19,16 +19,16 @@
 //
 // FaultController executes plans and owns ALL fault state (crashed hosts,
 // partitions, drop/duplicate/reorder probabilities, timed bursts and
-// spikes). It replaces SimNetwork's former scattered mutators — those
-// remain only as thin forwarding shims. SimNetwork::send() consults the
-// controller for every message via judge()/hold()/on_send().
+// spikes). SimNetwork::send() consults the controller for every message
+// via judge()/hold()/on_send().
 //
 // Locking: SimNetwork's clamp shard > FaultController::mu_. The controller's
 // mutex is near-leaf on the send path: judge() is called with no network
 // lock held, hold()/on_send() under the destination's clamp shard only;
 // controller mutators never hold mu_ while calling back into SimNetwork
-// (crash/recover apply endpoint marks after releasing it, the scheduler
-// thread deposits swept messages lock-free of mu_).
+// (crash/recover apply endpoint marks after releasing it, advance()
+// deposits swept messages and run_plan()/hold() wake the network's loop
+// lock-free of mu_).
 //
 // Per-message randomness comes from per-sender decision streams: each
 // sender endpoint id owns an independent Rng seeded with the stream seed
@@ -37,19 +37,19 @@
 // traffic) only — adding concurrent senders does not perturb it, and a
 // single-sender run reproduces the pre-split shared-stream sequence.
 //
-// Time modes: in real time a worker thread fires plan events at wall-clock
-// offsets and sweeps expired reorder holds. In virtual time (NetConfig::
-// time_mode = kVirtual) no worker is spawned; plan offsets and hold
-// deadlines become virtual deadlines that SimNetwork::run_until() pulls via
-// next_virtual_deadline()/advance_virtual(), making chaos schedules exact
+// Time: the controller runs no thread. Plan offsets and hold deadlines are
+// deadlines on the network's clock; run_plan() and hold() put the earliest
+// on SimNetwork's event loop, which pulls them through next_deadline()/
+// advance() — on its delivery thread as the wall clock reaches them, or in
+// SimNetwork::run_until() in virtual time, where chaos schedules are exact
 // instead of best-effort.
 //
 // Bounded reordering: a deferred message is held back until `defer` (<=
 // window) later messages to the same destination endpoint have been sent,
-// then re-deposited with the trigger message's deliver_at (equal-key
-// multimap order puts it after the trigger), so it is overtaken by at most
-// `window` messages. A deadline sweep (scheduler thread) releases stranded
-// holds so no message is ever lost to reordering.
+// then queued with the trigger message's deliver_at (equal timestamps keep
+// arrival order, which puts it after the trigger), so it is overtaken by at most
+// `window` messages. A deadline sweep (advance(), max_hold_ after the hold)
+// releases stranded holds so no message is ever lost to reordering.
 #pragma once
 
 #include <atomic>
@@ -58,7 +58,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -134,8 +133,8 @@ class FaultController {
 
   // --- plan execution ------------------------------------------------------
 
-  /// Start executing `plan`: event k fires at start + at_k (wall clock in
-  /// real mode; pulled by SimNetwork::run_until in virtual mode). Reseeds
+  /// Start executing `plan`: event k fires at start + at_k on the network's
+  /// clock (wall or virtual). Reseeds
   /// the per-sender decision streams with plan.seed so per-message
   /// decisions are a deterministic function of (plan seed, each sender's
   /// traffic). Replaces any plan still running.
@@ -214,9 +213,7 @@ class FaultController {
   /// (a duplicated send counts once: the copy rides the same decrement).
   std::vector<Message> on_send(const std::string& to, TimePoint deliver_at);
 
-  void worker_loop();
-  /// Apply one plan event (called by the worker / advance_virtual with no
-  /// locks held).
+  /// Apply one plan event (called by advance() with no locks held).
   void apply_event(const FaultEvent& e);
   std::vector<Message> take_all_held();
   /// The per-sender decision stream for `from`, created on first use.
@@ -227,22 +224,18 @@ class FaultController {
   /// stale answer.
   void refresh_quiescent() CQOS_REQUIRES(mu_);
 
-  // Virtual-time pull interface (no worker thread in virtual mode), called
-  // by SimNetwork::run_until on the driver thread.
-  /// Earliest pending virtual deadline: next unapplied plan event or
-  /// earliest reorder-hold sweep; TimePoint::max() when none.
-  TimePoint next_virtual_deadline() const;
-  /// Apply every plan event and sweep every hold with deadline <= vnow.
-  /// Postcondition: next_virtual_deadline() > vnow.
-  void advance_virtual(TimePoint vnow);
-
-  /// The network's notion of now (wall or virtual) — all fault deadlines
-  /// (bursts, spikes, hold sweeps, plan offsets) live on this clock.
-  TimePoint net_now() const;
+  // Pull interface, called by SimNetwork's event loop (its delivery thread,
+  // or run_until in virtual time).
+  /// Earliest pending deadline: next unapplied plan event or earliest
+  /// reorder-hold sweep; TimePoint::max() when none.
+  TimePoint next_deadline() const;
+  /// Apply every plan event and sweep every hold with deadline <= nw.
+  /// Postcondition: next_deadline() > nw.
+  void advance(TimePoint nw);
 
   SimNetwork& net_;
   mutable Mutex mu_;
-  CondVar cv_;
+  CondVar cv_;  // wait_plan_done()
   /// True when no wire fault can affect any send (no crashes, partitions,
   /// rates, bursts or spikes). Lets judge() — called for EVERY send —
   /// return without touching mu_, so fault bookkeeping costs nothing on
@@ -278,9 +271,6 @@ class FaultController {
   std::size_t next_event_ CQOS_GUARDED_BY(mu_) = 0;
   TimePoint plan_t0_ CQOS_GUARDED_BY(mu_);
   std::vector<std::string> trace_ CQOS_GUARDED_BY(mu_);
-
-  bool stop_ CQOS_GUARDED_BY(mu_) = false;
-  std::thread worker_;  // not spawned in virtual mode
 };
 
 }  // namespace cqos::net

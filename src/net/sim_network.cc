@@ -12,14 +12,13 @@ namespace cqos::net {
 // (Endpoint lives in net/transport.cc — it is shared with TcpTransport.)
 
 SimNetwork::SimNetwork(NetConfig cfg) : cfg_(cfg) {
-  // The controller's fault streams start from the NetConfig seed: a
-  // single-sender, jitter-free configuration reproduces the exact drop
-  // sequence the pre-FaultController network produced (tests tune seeds
-  // against it).
   sent_msgs_counter_ = &registry().counter("net.sent.msgs");
   sent_bytes_counter_ = &registry().counter("net.sent.bytes");
+  refused_counter_ = &registry().counter("net.vdeliver.refused");
+  gone_counter_ = &registry().counter("net.vdeliver.gone");
+  // The controller's fault streams start from the NetConfig seed (tests
+  // tune seeds against the drop sequences this gives).
   faults_ = std::make_unique<FaultController>(*this, cfg.seed);
-  if (cfg.drop_rate > 0) faults_->set_drop_rate(cfg.drop_rate);
   if (!virtual_mode()) {
     delivery_thread_ = std::thread([this] { delivery_loop(); });
   }
@@ -59,8 +58,11 @@ void SimNetwork::remove_endpoint(const std::string& id) {
     // without bound.
     ClampShard& shard = clamp_shards_[shard_of(id)];
     MutexLock lk(shard.mu);
-    shard.dests.erase(id);
-    shard.vlast.erase(id);
+    auto it = shard.dests.find(id);
+    if (it != shard.dests.end()) {
+      drop_pending(it->second, *gone_counter_);
+      shard.dests.erase(it);
+    }
   }
   ep->close();
 }
@@ -69,25 +71,24 @@ std::size_t SimNetwork::fifo_clamp_entries() const {
   std::size_t n = 0;
   for (const ClampShard& shard : clamp_shards_) {
     MutexLock lk(shard.mu);
-    n += shard.dests.size() + shard.vlast.size();
+    n += shard.dests.size();
   }
   return n;
 }
 
 std::uint64_t SimNetwork::messages_sent() const {
-  std::uint64_t n = 0;
-  for (const ClampShard& shard : clamp_shards_) {
-    MutexLock lk(shard.mu);
-    n += shard.msgs;
-  }
-  return n;
+  return sum_shards(&ClampShard::msgs);
 }
 
 std::uint64_t SimNetwork::bytes_sent() const {
+  return sum_shards(&ClampShard::bytes);
+}
+
+std::uint64_t SimNetwork::sum_shards(std::uint64_t ClampShard::*field) const {
   std::uint64_t n = 0;
   for (const ClampShard& shard : clamp_shards_) {
     MutexLock lk(shard.mu);
-    n += shard.bytes;
+    n += shard.*field;
   }
   return n;
 }
@@ -202,9 +203,10 @@ bool SimNetwork::send(const std::string& from, const std::string& to,
   bool held = verdict.defer > 0;
   // The tap runs with no network lock held (it may block, and tests use
   // that to hold a send between validation and delivery), so a tapped
-  // real-time send queues in a second hold of the shard lock.
+  // send queues in a second hold of the shard lock.
   bool tapping = !held && has_tap_.load(std::memory_order_acquire);
-  Route route;
+  bool deliver_inline = false;
+  TimePoint wake = TimePoint::max();
   std::vector<Message> extra;  // duplicate copy + released reorder holds
   ClampShard& shard = clamp_shards_[shard_of(to)];
   {
@@ -214,8 +216,8 @@ bool SimNetwork::send(const std::string& from, const std::string& to,
     TimePoint nw = net_now();
     msg.deliver_at = nw + lat;
     // FIFO per destination: never deliver before an earlier-sent message.
-    Dest* d = virtual_mode() ? nullptr : &dest_locked(shard, dest);
-    TimePoint& clamp = d != nullptr ? d->last : shard.vlast[to];
+    Dest& d = dest_locked(shard, dest);
+    TimePoint& clamp = d.last;
     if (msg.deliver_at < clamp) msg.deliver_at = clamp;
     clamp = msg.deliver_at;
     msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -249,9 +251,7 @@ bool SimNetwork::send(const std::string& from, const std::string& to,
       faults_->hold(to, std::move(msg), verdict.defer);
     }
 
-    if (d != nullptr && !tapping) {
-      route = route_locked(*d, msg, held, extra, nw);
-    }
+    if (!tapping) deliver_inline = route_locked(d, msg, held, extra, nw, wake);
 
     shard.msgs += 1;
     shard.bytes += msg_bytes;
@@ -264,84 +264,61 @@ bool SimNetwork::send(const std::string& from, const std::string& to,
       MutexLock tlk(tap_mu_);
       if (tap_) tap_(msg);
     }
-    if (!virtual_mode()) {
-      MutexLock lk(shard.mu);
-      route = route_locked(dest_locked(shard, dest), msg, held, extra, now());
-    }
+    MutexLock lk(shard.mu);
+    deliver_inline = route_locked(dest_locked(shard, dest), msg, held, extra,
+                                  net_now(), wake);
   }
 
-  if (virtual_mode()) {
-    if (!held) enqueue_virtual(std::move(msg));
-    for (Message& m : extra) enqueue_virtual(std::move(m));
-  } else if (route.inline_now) {
-    dest->deliver_now(std::move(msg));
-  } else if (route.wake) {
-    push_wake(to, route.wake_at);
+  if (deliver_inline) {
+    if (!dest->deliver_now(std::move(msg))) refused_counter_->inc();
+  } else {
+    push_wake(to, wake);
   }
   return true;
 }
 
-SimNetwork::Route SimNetwork::route_locked(Dest& d, Message& msg, bool held,
-                                           std::vector<Message>& extra,
-                                           TimePoint nw) {
-  // A lone, already-due message with nothing for this destination pending
-  // or being drained is delivered by the sending thread. Everything else
-  // joins the pending queue here, under the clamp shard, so a later due
-  // message cannot overtake it.
-  Route route;
-  route.inline_now = !held && extra.empty() && msg.deliver_at <= nw &&
-                     d.pending.empty() && !d.draining && !d.crashed;
-  if (!route.inline_now) {
-    if (!held) add_pending(d, std::move(msg));
-    for (Message& m : extra) add_pending(d, std::move(m));
-    extra.clear();
-    route.wake = arm_locked(d);
-    route.wake_at = d.armed_at;
+bool SimNetwork::route_locked(Dest& d, Message& msg, bool held,
+                              std::vector<Message>& extra, TimePoint nw,
+                              TimePoint& wake) {
+  // In real time, a lone, already-due message with nothing for this
+  // destination pending or being drained is delivered by the sending
+  // thread. Everything else joins the pending queue here, under the clamp
+  // shard, so a later due message cannot overtake it. Virtual time has one
+  // driver, run_until, and delivers nothing inline.
+  if (!held && extra.empty() && msg.deliver_at <= nw && d.pending.empty() &&
+      !d.draining && !d.crashed && !virtual_mode()) {
+    return true;
   }
-  return route;
+  if (!held) add_pending(d, std::move(msg));
+  for (Message& m : extra) add_pending(d, std::move(m));
+  extra.clear();
+  wake = arm_locked(d);
+  return false;
 }
 
-void SimNetwork::apply_crash(const std::string& host) {
+void SimNetwork::set_crashed(const std::string& host, bool crashed) {
   std::vector<std::shared_ptr<Endpoint>> eps;
   {
     MutexLock lk(mu_);
-    registry().counter("net.crash").inc();
     for (auto& [id, ep] : endpoints_) {
       if (ep->host() == host) eps.push_back(ep);
     }
   }
+  if (crashed) registry().counter("net.crash").inc();
   // Pending deliveries are lost with the host, and nothing new queues for
   // it; mark_crashed() drops inbox messages AND makes the endpoint refuse
   // new ones, closing the race with a send() that validated crash state but
   // delivers later. Once this returns, no in-flight message can land on the
   // crashed host.
   for (auto& ep : eps) {
-    if (!virtual_mode()) {
+    {
       ClampShard& shard = clamp_shards_[shard_of(ep->id())];
       MutexLock lk(shard.mu);
       Dest& d = dest_locked(shard, ep);
-      d.crashed = true;
-      drop_pending(d);
+      d.crashed = crashed;
+      if (crashed) drop_pending(d, *refused_counter_);
     }
-    ep->mark_crashed();
-  }
-}
-
-void SimNetwork::apply_recover(const std::string& host) {
-  std::vector<std::shared_ptr<Endpoint>> eps;
-  {
-    MutexLock lk(mu_);
-    for (auto& [id, ep] : endpoints_) {
-      if (ep->host() == host) eps.push_back(ep);
-    }
-  }
-  for (auto& ep : eps) {
-    if (!virtual_mode()) {
-      ClampShard& shard = clamp_shards_[shard_of(ep->id())];
-      MutexLock lk(shard.mu);
-      dest_locked(shard, ep).crashed = false;
-    }
-    ep->mark_recovered();
+    crashed ? ep->mark_crashed() : ep->mark_recovered();
   }
 }
 
@@ -350,33 +327,29 @@ void SimNetwork::deposit_swept(Message msg) {
   {
     MutexLock lk(mu_);
     auto it = endpoints_.find(msg.to);
-    if (it == endpoints_.end()) {
-      BufferPool::recycle(std::move(msg.payload));
-      return;
-    }
-    dest = it->second;
+    if (it != endpoints_.end()) dest = it->second;
   }
-  registry().counter("net.fault.reorder.swept").inc();
-  if (msg.deliver_at < net_now()) msg.deliver_at = net_now();
-  if (virtual_mode()) {
-    enqueue_virtual(std::move(msg));
+  if (!dest) {
+    gone_counter_->inc();
+    BufferPool::recycle(std::move(msg.payload));
     return;
   }
+  registry().counter("net.fault.reorder.swept").inc();
   std::string to = msg.to;
-  bool wake;
-  TimePoint wake_at;
+  TimePoint wake;
   {
     ClampShard& shard = clamp_shards_[shard_of(to)];
     MutexLock lk(shard.mu);
+    TimePoint nw = net_now();
+    if (msg.deliver_at < nw) msg.deliver_at = nw;
     Dest& d = dest_locked(shard, dest);
     add_pending(d, std::move(msg));
     wake = arm_locked(d);
-    wake_at = d.armed_at;
   }
-  if (wake) push_wake(to, wake_at);
+  push_wake(to, wake);
 }
 
-// --- real-time delivery ------------------------------------------------------
+// --- the event loop ----------------------------------------------------------
 
 SimNetwork::Dest& SimNetwork::dest_locked(ClampShard& shard,
                                           const std::shared_ptr<Endpoint>& ep) {
@@ -384,7 +357,7 @@ SimNetwork::Dest& SimNetwork::dest_locked(ClampShard& shard,
   if (d.ep != ep) {
     // First use, or the id was re-registered: what is pending was for an
     // endpoint that no longer exists.
-    drop_pending(d);
+    drop_pending(d, *gone_counter_);
     d.ep = ep;
   }
   return d;
@@ -392,6 +365,7 @@ SimNetwork::Dest& SimNetwork::dest_locked(ClampShard& shard,
 
 void SimNetwork::add_pending(Dest& d, Message&& msg) {
   if (d.crashed) {
+    refused_counter_->inc();
     BufferPool::recycle(std::move(msg.payload));
     return;
   }
@@ -406,33 +380,84 @@ void SimNetwork::add_pending(Dest& d, Message&& msg) {
   d.pending.insert(pos, std::move(msg));
 }
 
-void SimNetwork::drop_pending(Dest& d) {
+void SimNetwork::drop_pending(Dest& d, metrics::Counter& lost) {
+  if (d.pending.empty()) return;
+  lost.inc(d.pending.size());
   for (Message& m : d.pending) BufferPool::recycle(std::move(m.payload));
   d.pending.clear();
 }
 
-bool SimNetwork::arm_locked(Dest& d) {
+TimePoint SimNetwork::arm_locked(Dest& d) {
   // While a batch is draining, the drain re-arms when it finishes.
   if (d.draining || d.pending.empty() ||
       d.pending.front().deliver_at >= d.armed_at) {
-    return false;
+    return TimePoint::max();
   }
-  d.armed_at = d.pending.front().deliver_at;
-  return true;
+  return d.armed_at = d.pending.front().deliver_at;
+}
+
+void SimNetwork::push(Wake w) {
+  MutexLock lk(wmu_);
+  if (w.kind == Wake::kFault) {
+    if (w.at >= fault_armed_at_) return;  // an earlier check is queued
+    fault_armed_at_ = w.at;
+  }
+  w.order = worder_++;
+  bool new_head = wakes_.empty() || Later{}(wakes_.top(), w);
+  wakes_.push(std::move(w));
+  if (new_head) wcv_.notify_one();
 }
 
 void SimNetwork::push_wake(const std::string& to, TimePoint at) {
+  if (at != TimePoint::max()) push(Wake{at, 0, Wake::kDest, to, nullptr});
+}
+
+void SimNetwork::arm_fault(TimePoint at) {
+  if (at != TimePoint::max()) push(Wake{at, 0, Wake::kFault, {}, nullptr});
+}
+
+bool SimNetwork::pop_due(TimePoint limit, Wake& w) {
   MutexLock lk(wmu_);
-  bool new_head = wakes_.empty() || at < wakes_.top().at;
-  wakes_.push(Wake{at, worder_++, to});
-  if (new_head) wcv_.notify_one();
+  if (wakes_.empty() || wakes_.top().at > limit) return false;
+  pop_locked(w);
+  return true;
+}
+
+void SimNetwork::pop_locked(Wake& w) {
+  w = std::move(const_cast<Wake&>(wakes_.top()));
+  wakes_.pop();
+  if (w.kind == Wake::kFault && w.at == fault_armed_at_) {
+    fault_armed_at_ = TimePoint::max();
+  }
+}
+
+std::size_t SimNetwork::fire(Wake& w, std::vector<Message>& batch) {
+  TimePoint nw = virtual_mode() ? w.at : now();
+  if (w.kind == Wake::kFault) {
+    // The deadline this entry was pushed for may have moved later (a hold
+    // released by traffic, a plan replaced): then nothing is due, and the
+    // virtual clock stays where it is.
+    bool due = faults_->next_deadline() <= nw;
+    if (due) {
+      if (virtual_mode()) vclock_.advance_to(nw);
+      faults_->advance(nw);
+    }
+    arm_fault(faults_->next_deadline());
+    return due ? 1 : 0;
+  }
+  if (virtual_mode()) vclock_.advance_to(nw);
+  if (w.kind == Wake::kTimer) {
+    w.fn();
+    return 1;
+  }
+  return drain(w.to, w.at, batch);
 }
 
 void SimNetwork::delivery_loop() {
   // Reused across drains: no allocation while a shard lock is held.
   std::vector<Message> batch;
   for (;;) {
-    Wake w{TimePoint{}, 0, std::string{}};
+    Wake w;
     {
       MutexLock lk(wmu_);
       for (;;) {
@@ -445,161 +470,82 @@ void SimNetwork::delivery_loop() {
           break;
         }
       }
-      w = std::move(const_cast<Wake&>(wakes_.top()));
-      wakes_.pop();
+      pop_locked(w);
     }
-    drain(w.to, w.at, batch);
-    batch.clear();
+    fire(w, batch);
   }
 }
 
-void SimNetwork::drain(const std::string& to, TimePoint woke_for,
-                       std::vector<Message>& batch) {
+std::size_t SimNetwork::drain(const std::string& to, TimePoint woke_for,
+                              std::vector<Message>& batch) {
   ClampShard& shard = clamp_shards_[shard_of(to)];
   std::shared_ptr<Endpoint> ep;
-  bool wake = false;
-  TimePoint at{};
+  TimePoint wake = TimePoint::max();
   {
     MutexLock lk(shard.mu);
     auto it = shard.dests.find(to);
-    if (it == shard.dests.end()) return;  // removed since it was armed
+    if (it == shard.dests.end()) return 0;  // removed since it was armed
     Dest& d = it->second;
     // Wake-ups fire in time order, so none earlier than this one is left.
     if (d.armed_at <= woke_for) d.armed_at = TimePoint::max();
-    TimePoint nw = now();
+    TimePoint nw = net_now();
     while (!d.pending.empty() && d.pending.front().deliver_at <= nw) {
       batch.push_back(std::move(d.pending.front()));
       d.pending.pop_front();
     }
     if (batch.empty()) {
       wake = arm_locked(d);
-      at = d.armed_at;
     } else {
       d.draining = true;
       ep = d.ep;
     }
   }
-  if (batch.empty()) {
-    if (wake) push_wake(to, at);
-    return;
-  }
+  std::size_t n = batch.size();
   // The crash and close checks happen here, at delivery time.
-  for (Message& m : batch) ep->deliver_now(std::move(m));
-  {
+  for (Message& m : batch) {
+    if (!ep->deliver_now(std::move(m))) refused_counter_->inc();
+  }
+  batch.clear();
+  if (n != 0) {
     MutexLock lk(shard.mu);
     auto it = shard.dests.find(to);
-    if (it == shard.dests.end()) return;
+    if (it == shard.dests.end()) return n;
     Dest& d = it->second;
     d.draining = false;
     // Whatever came due meanwhile gets a fresh wake-up behind the other
     // destinations already due, so one busy destination cannot starve them.
     wake = arm_locked(d);
-    at = d.armed_at;
   }
-  if (wake) push_wake(to, at);
+  push_wake(to, wake);
+  return n;
 }
 
-// --- virtual-time event loop -------------------------------------------------
-
-void SimNetwork::enqueue_virtual(Message&& msg) {
-  MutexLock lk(vmu_);
-  vqueue_.push(VEvent{msg.deliver_at, vorder_++, std::move(msg), nullptr});
-}
+// --- virtual-time driver -----------------------------------------------------
 
 void SimNetwork::schedule_at(TimePoint at, std::function<void()> fn) {
   if (!virtual_mode()) {
     throw Error("SimNetwork::schedule_at requires TimeMode::kVirtual");
   }
-  TimePoint vnow = vclock_.now();
-  if (at < vnow) at = vnow;
-  MutexLock lk(vmu_);
-  vqueue_.push(VEvent{at, vorder_++, Message{}, std::move(fn)});
-}
-
-void SimNetwork::schedule_after(Duration d, std::function<void()> fn) {
-  schedule_at(net_now() + d, std::move(fn));
-}
-
-void SimNetwork::dispatch_delivery(Message&& msg) {
-  std::shared_ptr<Endpoint> dest;
-  {
-    MutexLock lk(mu_);
-    auto it = endpoints_.find(msg.to);
-    if (it != endpoints_.end()) dest = it->second;
-  }
-  if (!dest) {
-    registry().counter("net.vdeliver.gone").inc();
-    BufferPool::recycle(std::move(msg.payload));
-    return;
-  }
-  if (!dest->deliver_now(std::move(msg))) {
-    registry().counter("net.vdeliver.refused").inc();
-  }
+  push(Wake{std::max(at, vclock_.now()), 0, Wake::kTimer, {}, std::move(fn)});
 }
 
 std::size_t SimNetwork::run_until(TimePoint t) {
-  if (!virtual_mode()) {
-    throw Error("SimNetwork::run_until requires TimeMode::kVirtual");
-  }
-  std::size_t dispatched = 0;
-  for (;;) {
-    TimePoint qhead = TimePoint::max();
-    {
-      MutexLock lk(vmu_);
-      if (!vqueue_.empty()) qhead = vqueue_.top().at;
-    }
-    TimePoint fdl = faults_->next_virtual_deadline();
-    TimePoint next = std::min(qhead, fdl);
-    if (next > t) break;
-    vclock_.advance_to(next);
-    if (fdl <= next) {
-      // Fault deadlines first at equal timestamps: a plan event taking
-      // effect at T applies before deliveries stamped T, matching the
-      // threaded mode where the worker applies the event and in-flight
-      // messages land after.
-      faults_->advance_virtual(next);
-      ++dispatched;
-      vevents_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    VEvent ev{TimePoint{}, 0, Message{}, nullptr};
-    bool have = false;
-    {
-      MutexLock lk(vmu_);
-      if (!vqueue_.empty() && vqueue_.top().at <= next) {
-        ev = std::move(const_cast<VEvent&>(vqueue_.top()));
-        vqueue_.pop();
-        have = true;
-      }
-    }
-    if (!have) continue;  // a concurrent pop or sweep consumed it
-    ++dispatched;
-    vevents_.fetch_add(1, std::memory_order_relaxed);
-    if (ev.fn) {
-      ev.fn();
-    } else {
-      dispatch_delivery(std::move(ev.msg));
-    }
-  }
+  std::size_t dispatched = run(t, SIZE_MAX);
   vclock_.advance_to(t);
   return dispatched;
 }
 
-std::size_t SimNetwork::run_until_idle(std::size_t horizon) {
+std::size_t SimNetwork::run(TimePoint limit, std::size_t horizon) {
   if (!virtual_mode()) {
-    throw Error("SimNetwork::run_until_idle requires TimeMode::kVirtual");
+    throw Error("SimNetwork::run_until requires TimeMode::kVirtual");
   }
+  std::vector<Message> batch;
   std::size_t dispatched = 0;
-  while (dispatched < horizon) {
-    TimePoint qhead = TimePoint::max();
-    {
-      MutexLock lk(vmu_);
-      if (!vqueue_.empty()) qhead = vqueue_.top().at;
-    }
-    TimePoint next = std::min(qhead, faults_->next_virtual_deadline());
-    if (next == TimePoint::max()) break;
-    dispatched += run_until(next);
+  Wake w;
+  while (dispatched < horizon && pop_due(limit, w)) {
+    dispatched += fire(w, batch);
   }
+  vevents_.fetch_add(dispatched, std::memory_order_relaxed);
   return dispatched;
 }
 

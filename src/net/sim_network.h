@@ -13,33 +13,31 @@
 // Delivery is FIFO per sender/receiver pair (latency is deterministic per
 // size; ordering is enforced with a sequence tie-break and monotone clamp).
 //
-// Two time modes (NetConfig::time_mode, DESIGN.md §14):
+// One event loop under two clocks (NetConfig::time_mode, DESIGN.md §14).
+// A message that is not delivered at once waits in its destination's
+// pending queue, kept next to the FIFO clamp under the same shard lock and
+// sorted by (deliver_at, arrival). One heap, ordered by (timestamp, fault
+// deadlines first, insertion), holds what the loop does next: a wake-up per
+// destination at its pending head, timers scheduled via schedule_at, and
+// the FaultController's next deadline (plan event or reorder-hold sweep).
+// The send path is lock-sharded (endpoint map, per-sender jitter streams,
+// per-destination shards, cached per-pair metric handles), so concurrent
+// senders do not convoy on one mutex. The clock decides only who pops the
+// heap and what "now" is:
 //
-//   kReal    (default) deliver_at is a wall-clock deadline. A message that
+//   kReal    (default) the wall clock. One network-owned delivery thread
+//            pops each entry when the wall clock reaches it. A message that
 //            is already due, with nothing earlier for its destination still
-//            pending, is delivered by the sending thread itself; every other
-//            one waits in its destination's pending queue (kept next to the
-//            FIFO clamp, under the same shard lock) until one network-owned
-//            delivery thread, woken by a per-destination timer, hands it
-//            over as the wall clock reaches its timestamp. The send path is
-//            deliberately lock-sharded — endpoint resolution under mu_,
-//            jitter from per-sender RNG streams, FIFO clamp + seq + pending
-//            queue under per-destination shards, per-pair metric handles
-//            cached — so concurrent senders do not convoy on one global
-//            mutex.
+//            pending, is delivered by the sending thread itself.
+//   kVirtual a VirtualClock that nothing sleeps on. run_until() advances
+//            it straight to each entry's timestamp and runs the entry on
+//            the calling thread; no thread is started and nothing is
+//            delivered inline. 10^5..10^6 modeled endpoints simulate in
+//            wall-clock seconds, fully seeded and reproducible.
 //
-//   kVirtual the discrete-event mode: nothing sleeps. send() enqueues a
-//            delivery event on a central priority queue; run_until() pops
-//            events in (timestamp, insertion) order, advances the
-//            VirtualClock straight to each event's timestamp and dispatches
-//            it (delivery handlers, timers scheduled via schedule_at, and
-//            the FaultController's plan events / reorder-hold sweeps, which
-//            become virtual deadlines instead of worker-thread waits).
-//            10^5..10^6 modeled endpoints simulate in wall-clock seconds,
-//            fully seeded and reproducible.
-//
-// Both modes deliver through Endpoint::deliver_now(): the endpoint's
-// handler runs, or the message lands in its inbox for recv().
+// Delivery goes through Endpoint::deliver_now() (handler or inbox). A
+// message that a crash or the endpoint refuses counts as
+// net.vdeliver.refused, one whose endpoint was removed as net.vdeliver.gone.
 #pragma once
 
 #include <array>
@@ -49,11 +47,10 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <queue>
-#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -112,29 +109,34 @@ class SimNetwork : public Transport {
     return virtual_mode() ? vclock_.now() : now();
   }
 
-  // --- virtual-time event loop (kVirtual only; throws Error otherwise) ------
+  // --- virtual-time driver (kVirtual only; throws Error otherwise) ---------
 
   /// Schedule `fn` at virtual time `at` (clamped forward to the current
-  /// virtual time). Timer events share the delivery queue and fire in
-  /// (timestamp, insertion) order. Used for modeled-client arrivals and
-  /// test timers.
+  /// virtual time). Timers share the loop's heap with the destination
+  /// wake-ups and fire in (timestamp, insertion) order. Used for
+  /// modeled-client arrivals and test timers.
   void schedule_at(TimePoint at, std::function<void()> fn);
-  void schedule_after(Duration d, std::function<void()> fn);
+  void schedule_after(Duration d, std::function<void()> fn) {
+    schedule_at(net_now() + d, std::move(fn));
+  }
 
-  /// Advance virtual time to `t`, dispatching every event (delivery, timer,
+  /// Advance virtual time to `t`, running every heap entry (delivery, timer,
   /// fault-plan event, reorder-hold sweep) with timestamp <= t in order.
-  /// Returns the number of events dispatched. Single-driver: must not be
-  /// called concurrently with itself.
+  /// Returns the number of events dispatched: each delivered or refused
+  /// message, timer and fault advance. Single-driver: must not be called
+  /// concurrently with itself.
   std::size_t run_until(TimePoint t);
   std::size_t run_for(Duration d) { return run_until(net_now() + d); }
 
-  /// Run until no event or fault deadline remains (dispatching everything,
-  /// including future fault-plan events), or until `horizon` events have
-  /// been dispatched (a live-lock guard for handler chains that reschedule
-  /// forever). Returns events dispatched.
-  std::size_t run_until_idle(std::size_t horizon = SIZE_MAX);
+  /// Run until the heap is empty (dispatching everything, including future
+  /// fault-plan events), or until `horizon` events have been dispatched (a
+  /// live-lock guard for handler chains that reschedule forever). Returns
+  /// events dispatched.
+  std::size_t run_until_idle(std::size_t horizon = SIZE_MAX) {
+    return run(TimePoint::max(), horizon);
+  }
 
-  /// Total events dispatched by the virtual scheduler so far.
+  /// Total events dispatched by run_until/run_until_idle so far.
   std::uint64_t virtual_events() const {
     return vevents_.load(std::memory_order_relaxed);
   }
@@ -164,8 +166,8 @@ class SimNetwork : public Transport {
 
   static constexpr std::size_t kShards = 16;
 
-  /// Real time: per-destination delivery state, guarded by the
-  /// destination's clamp shard.
+  /// Per-destination delivery state, guarded by the destination's clamp
+  /// shard.
   struct Dest {
     /// FIFO clamp: the latest deliver_at assigned to this destination.
     TimePoint last{};
@@ -173,11 +175,11 @@ class SimNetwork : public Transport {
     /// yet, sorted by (deliver_at, arrival).
     std::shared_ptr<Endpoint> ep;
     std::deque<Message> pending;
-    /// Earliest delivery-thread wake-up queued for this destination
-    /// (TimePoint::max() when none is known).
+    /// Earliest wake-up queued for this destination (TimePoint::max() when
+    /// none is known).
     TimePoint armed_at = TimePoint::max();
-    /// The delivery thread is handing a batch of `pending` to `ep`; until
-    /// it is done, nothing for this destination is delivered inline.
+    /// A batch of `pending` is being handed to `ep`; until that is done,
+    /// nothing for this destination is delivered inline.
     bool draining = false;
     /// The host is down: nothing new queues, and a crash dropped the rest.
     bool crashed = false;
@@ -190,10 +192,6 @@ class SimNetwork : public Transport {
   struct ClampShard {
     mutable Mutex mu;
     std::map<std::string, Dest> dests CQOS_GUARDED_BY(mu);
-    /// Virtual mode's FIFO clamp: that mode queues on vqueue_ and needs
-    /// only the clamp, not a Dest (whose empty std::deque already costs an
-    /// allocation per destination).
-    std::map<std::string, TimePoint> vlast CQOS_GUARDED_BY(mu);
     /// Sent-message tallies striped across the shards (the shard lock is
     /// already held where they are bumped, so they cost nothing extra);
     /// messages_sent()/bytes_sent() sum them. Keeping these off shared
@@ -222,74 +220,75 @@ class SimNetwork : public Transport {
     std::map<std::string, PairCounters> pairs CQOS_GUARDED_BY(mu);
   };
 
-  /// One entry on the virtual event queue: a delivery (fn empty) or a timer
-  /// callback. Ordered by (at, order) where `order` is queue-insertion
-  /// order — equal-timestamp events dispatch in the order they were
-  /// scheduled, mirroring the pending queue's arrival-order tie-break.
-  struct VEvent {
+  /// One heap entry: the FaultController's next deadline, a destination's
+  /// pending head (`to`), or a timer (`fn`). Ordered by (at, fault first,
+  /// order), where `order` is insertion order: equal-timestamp entries run
+  /// in the order they were pushed, and a plan event taking effect at T
+  /// applies before deliveries stamped T.
+  struct Wake {
+    enum Kind { kFault, kDest, kTimer };
     TimePoint at;
-    std::uint64_t order;
-    Message msg;
+    std::uint64_t order = 0;
+    Kind kind = kDest;
+    std::string to;
     std::function<void()> fn;
   };
-  /// Real time: a delivery-thread wake-up for one destination's pending
-  /// queue, ordered like VEvent.
-  struct Wake {
-    TimePoint at;
-    std::uint64_t order;
-    std::string to;
-  };
-  /// Min-heap order for both queues.
   struct Later {
-    template <class E>
-    bool operator()(const E& a, const E& b) const {
-      return a.at != b.at ? a.at > b.at : a.order > b.order;
+    bool operator()(const Wake& a, const Wake& b) const {
+      return std::tuple(a.at, a.kind != Wake::kFault, a.order) >
+             std::tuple(b.at, b.kind != Wake::kFault, b.order);
     }
   };
 
-  /// Crash/recover application: mark the host's endpoints (the fault state
-  /// itself lives in the controller). Called by FaultController with no
-  /// controller lock held.
-  void apply_crash(const std::string& host);
-  void apply_recover(const std::string& host);
+  /// Crash (or recover) application: mark the host's endpoints and
+  /// destination entries (the fault state itself lives in the controller).
+  /// Called by FaultController with no controller lock held.
+  void set_crashed(const std::string& host, bool crashed);
+  /// Virtual time: pop and run heap entries due by `limit`, at most
+  /// `horizon` events' worth.
+  std::size_t run(TimePoint limit, std::size_t horizon);
+  std::uint64_t sum_shards(std::uint64_t ClampShard::*field) const;
   /// Deposit a message released from a reorder holdback by the controller's
   /// deadline sweep (no releaser traffic arrived). Bypasses the FIFO clamp:
   /// the message is late by construction.
   void deposit_swept(Message msg);
+  /// Make the loop ask the controller for due work at `at` (run_plan,
+  /// hold). Wakes the delivery thread when `at` is the new earliest entry.
+  void arm_fault(TimePoint at);
 
-  void enqueue_virtual(Message&& msg);
-  void dispatch_delivery(Message&& msg);
-
-  /// Real time: what send() does with a message once its clamp and seq are
-  /// assigned.
-  struct Route {
-    bool inline_now = false;  // deliver it on the sending thread
-    bool wake = false;        // queued; push a wake-up at wake_at
-    TimePoint wake_at{};
-  };
-  /// Deliver inline or queue `msg` (unless `held`) and `extra`.
-  static Route route_locked(Dest& d, Message& msg, bool held,
-                            std::vector<Message>& extra, TimePoint nw);
-  /// Real time. The destination entry for `ep` (created on first use, and
-  /// reset if `ep` replaced an endpoint of the same id).
+  /// Whether send() delivers `msg` on the sending thread (real time only);
+  /// otherwise queue it (unless `held`) and `extra`, and set `wake` to the
+  /// wake-up to push (TimePoint::max() for none).
+  bool route_locked(Dest& d, Message& msg, bool held,
+                    std::vector<Message>& extra, TimePoint nw,
+                    TimePoint& wake);
+  /// The destination entry for `ep` (created on first use, and reset if
+  /// `ep` replaced an endpoint of the same id).
   Dest& dest_locked(ClampShard& shard, const std::shared_ptr<Endpoint>& ep)
       CQOS_REQUIRES(shard.mu);
   /// Insert into d.pending in (deliver_at, arrival) order; a crashed
-  /// destination drops the message instead.
-  static void add_pending(Dest& d, Message&& msg);
-  /// Recycle and forget everything d.pending holds.
-  static void drop_pending(Dest& d);
-  /// True when d.pending needs a new wake-up (at d.armed_at, set here) for
-  /// the delivery thread to find its head.
-  static bool arm_locked(Dest& d);
+  /// destination refuses the message instead.
+  void add_pending(Dest& d, Message&& msg);
+  /// Recycle everything d.pending holds, counting each message as `lost`.
+  static void drop_pending(Dest& d, metrics::Counter& lost);
+  /// The new wake-up d.pending needs for the loop to find its head (set as
+  /// d.armed_at), or TimePoint::max() when none.
+  static TimePoint arm_locked(Dest& d);
+  void push(Wake w);
+  /// Push a wake-up for `to` (none when `at` is TimePoint::max()).
   void push_wake(const std::string& to, TimePoint at);
-  /// The delivery thread: pops each wake-up when the wall clock reaches it
-  /// and drains that destination's due messages through deliver_now().
+  /// Pop the earliest heap entry if its timestamp is <= `limit`.
+  bool pop_due(TimePoint limit, Wake& w);
+  void pop_locked(Wake& w) CQOS_REQUIRES(wmu_);
+  /// Run one popped entry; returns the events it dispatched. `batch` is
+  /// scratch space, empty on entry and on return.
+  std::size_t fire(Wake& w, std::vector<Message>& batch);
+  /// The real-time driver: pops each entry when the wall clock reaches it.
   void delivery_loop();
-  /// Deliver `to`'s due messages, moved out through `batch` (empty on
-  /// entry).
-  void drain(const std::string& to, TimePoint woke_for,
-             std::vector<Message>& batch);
+  /// Deliver `to`'s due messages, moved out through `batch`; returns how
+  /// many were handed to the endpoint.
+  std::size_t drain(const std::string& to, TimePoint woke_for,
+                    std::vector<Message>& batch);
   /// Wire-level accounting into cfg_.metrics (global registry when null):
   /// net.sent.{msgs,bytes}, net.drop.<reason>, and the per-host-pair
   /// variants net.pair.<from>:<to>.{msgs,bytes,drops}. Lock-cheap: handles
@@ -322,9 +321,8 @@ class SimNetwork : public Transport {
   // destination's clamp shard (keeping per-destination release bookkeeping
   // atomic with clamp/seq assignment); deliveries take only Endpoint::mu_,
   // and run handlers with no network lock held. The metrics registry mutex
-  // is a leaf of pair_counters() misses. The virtual queue lock vmu_ and
-  // the wake-up heap lock wmu_ are leaves (push/pop only, never held across
-  // dispatch or delivery).
+  // is a leaf of pair_counters() misses. The heap lock wmu_ is a leaf (push
+  // and pop only, never held while an entry runs).
   mutable Mutex mu_;
   const NetConfig cfg_;
   std::map<std::string, std::shared_ptr<Endpoint>> endpoints_
@@ -336,32 +334,28 @@ class SimNetwork : public Transport {
   Mutex tap_mu_;
   Tap tap_ CQOS_GUARDED_BY(tap_mu_);
   std::atomic<bool> has_tap_{false};
-  /// Aggregate send counters resolved once at construction: count_send runs
-  /// on every send, and a by-name registry lookup there is a global
-  /// mutex + map walk that serializes concurrent senders.
+  /// Counters resolved once at construction: count_send runs on every
+  /// send, and a by-name registry lookup there is a global mutex + map walk
+  /// that serializes concurrent senders.
   metrics::Counter* sent_msgs_counter_ = nullptr;
   metrics::Counter* sent_bytes_counter_ = nullptr;
+  metrics::Counter* refused_counter_ = nullptr;
+  metrics::Counter* gone_counter_ = nullptr;
 
-  // Virtual-time scheduler state.
   VirtualClock vclock_;
-  mutable Mutex vmu_;
-  std::priority_queue<VEvent, std::vector<VEvent>, Later> vqueue_
-      CQOS_GUARDED_BY(vmu_);
-  std::uint64_t vorder_ CQOS_GUARDED_BY(vmu_) = 0;
   std::atomic<std::uint64_t> vevents_{0};
 
-  // Real-time delivery thread state: one wake-up per destination whose
-  // pending queue has a head to deliver.
+  // The loop's heap, and the real-time thread that drives it.
   Mutex wmu_;
-  CondVar wcv_;  // wakes the delivery thread for a new earliest wake-up
+  CondVar wcv_;  // wakes the delivery thread for a new earliest entry
   std::priority_queue<Wake, std::vector<Wake>, Later> wakes_
       CQOS_GUARDED_BY(wmu_);
   std::uint64_t worder_ CQOS_GUARDED_BY(wmu_) = 0;
+  /// Earliest fault deadline on the heap (TimePoint::max() when none).
+  TimePoint fault_armed_at_ CQOS_GUARDED_BY(wmu_) = TimePoint::max();
   bool stopping_ CQOS_GUARDED_BY(wmu_) = false;
   std::thread delivery_thread_;
 
-  // Declared last: destroyed first, joining the controller's scheduler
-  // thread while the endpoint map it deposits into is still alive.
   std::unique_ptr<FaultController> faults_;
 };
 

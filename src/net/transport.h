@@ -69,7 +69,7 @@ class PayloadRecycler {
 /// Delivery is push: the transport hands each message over on the thread
 /// that makes it due (DESIGN.md §15) — the TCP sending thread (local
 /// endpoints) or event-loop thread (remote senders), the simulator's
-/// sending thread, or the simulator's delivery thread.
+/// sending thread or delivery thread, or its virtual-time driver.
 class Endpoint {
  public:
   Endpoint(std::string id, std::string host) : id_(std::move(id)), host_(std::move(host)) {}
@@ -194,8 +194,6 @@ struct NetConfig {
   /// Drawn from a per-sender RNG stream seeded with `seed`, so one sender's
   /// jitter sequence is independent of how many other senders exist.
   double jitter = 0.05;
-  /// Probability that any inter-host message is silently dropped.
-  double drop_rate = 0.0;
   /// RNG seed for jitter/drops (deterministic tests). Every per-sender
   /// jitter stream and per-sender fault-decision stream starts from this
   /// seed, so a single-sender run reproduces the sequences the pre-sharded
@@ -215,11 +213,6 @@ struct NetConfig {
   /// loop.
   TimeMode time_mode = TimeMode::kReal;
 };
-
-/// Structured name for what NetConfig is under TransportConfig: the
-/// sim-kind sub-struct. (NetConfig keeps its historical name because every
-/// existing caller spells it that way.)
-using SimOptions = NetConfig;
 
 /// Parameters of the real TCP transport (net/tcp_transport.h).
 struct TcpOptions {
@@ -256,10 +249,10 @@ enum class TransportKind { kSim, kTcp };
 /// feature — per-kind options live in per-kind sub-structs.
 struct TransportConfig {
   TransportKind kind = TransportKind::kSim;
-  SimOptions sim;  // read when kind == kSim
+  NetConfig sim;   // read when kind == kSim
   TcpOptions tcp;  // read when kind == kTcp
 
-  static TransportConfig simulated(SimOptions opts = {}) {
+  static TransportConfig simulated(NetConfig opts = {}) {
     TransportConfig cfg;
     cfg.kind = TransportKind::kSim;
     cfg.sim = std::move(opts);

@@ -144,6 +144,27 @@ TEST(FaultController, ReorderingIsBoundedByWindow) {
   EXPECT_LE(max_overtakes, kWindow);
 }
 
+// With no later traffic to release it, a held message is swept by the
+// network's delivery thread once the hold expires (50 ms).
+TEST(FaultController, RealTimeHoldIsSweptWithoutReleasingTraffic) {
+  metrics::Registry reg;
+  NetConfig cfg = quiet_config();
+  cfg.metrics = &reg;
+  SimNetwork net(cfg);
+  net.create_endpoint("hostA/x");
+  auto rx = net.create_endpoint("hostB/y");
+  net.faults().set_reorder(1.0, 1);
+
+  TimePoint sent = now();
+  ASSERT_TRUE(net.send("hostA/x", "hostB/y", Bytes(1, 0)));
+  EXPECT_EQ(net.faults().held_count(), 1u);
+  auto msg = rx->recv(ms(2000));
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_GE(now() - sent, ms(50));
+  EXPECT_EQ(net.faults().held_count(), 0u);
+  EXPECT_EQ(reg.counter("net.fault.reorder.swept").value(), 1u);
+}
+
 TEST(FaultController, ClearAllFaultsFlushesHeldMessages) {
   SimNetwork net(quiet_config());
   net.create_endpoint("hostA/x");

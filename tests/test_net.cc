@@ -105,6 +105,23 @@ TEST(SimNetwork, CrashLosesQueuedMessages) {
   EXPECT_FALSE(b->recv(ms(50)).has_value());
 }
 
+// A crash takes the in-flight message off its destination's pending queue,
+// and that loss is counted as in virtual time.
+TEST(SimNetwork, RealTimeCrashCountsThePendingMessageItDrops) {
+  metrics::Registry reg;
+  NetConfig cfg = fast_config();
+  cfg.base_latency = ms(200);
+  cfg.metrics = &reg;
+  SimNetwork net(cfg);
+  net.create_endpoint("hostA/x");
+  auto b = net.create_endpoint("hostB/y");
+  ASSERT_TRUE(net.send("hostA/x", "hostB/y", Bytes{1}));  // in flight
+  net.faults().crash_host("hostB");
+  net.faults().recover_host("hostB");
+  EXPECT_FALSE(b->recv(ms(400)).has_value());
+  EXPECT_EQ(reg.counter("net.vdeliver.refused").value(), 1u);
+}
+
 // Regression for the deposit-after-crash race: send() validates crash state
 // under mu_ but deposits after releasing it, so a crash_host() sneaking into
 // that window used to land a message on an already-crashed host. The tap runs
@@ -224,9 +241,9 @@ TEST(SimNetwork, PartitionBlocksBothDirectionsUntilHealed) {
 
 TEST(SimNetwork, DropRateLosesRoughlyThatFraction) {
   NetConfig cfg = fast_config();
-  cfg.drop_rate = 0.5;
   cfg.seed = 7;
   SimNetwork net(cfg);
+  net.faults().set_drop_rate(0.5);
   net.create_endpoint("hostA/x");
   net.create_endpoint("hostB/y");
   int delivered = 0;
@@ -321,8 +338,8 @@ TEST(SimNetworkRngSplit, SingleSenderDropSequenceMatchesSeededRng) {
   constexpr int kSends = 200;
   NetConfig cfg = fast_config();
   cfg.seed = kSeed;
-  cfg.drop_rate = kDrop;
   SimNetwork net(cfg);
+  net.faults().set_drop_rate(kDrop);
   auto dst = net.create_endpoint("hostB/y");
   std::vector<bool> got;
   for (int i = 0; i < kSends; ++i) {
@@ -377,8 +394,8 @@ TEST(SimNetworkRngSplit, SenderSequencesIndependentOfOtherSenders) {
   auto run = [&](bool with_b) {
     NetConfig cfg = fast_config();
     cfg.seed = kSeed;
-    cfg.drop_rate = kDrop;
     SimNetwork net(cfg);
+    net.faults().set_drop_rate(kDrop);
     auto dst = net.create_endpoint("hostC/z");
     std::vector<bool> a_outcomes;
     for (int i = 0; i < kSends; ++i) {

@@ -723,12 +723,27 @@ TEST(PushDelivery, PlatformsAndNamingServicesStartNoReceiveThreads) {
     BankAccountStub account(client->stub_ptr());
     account.set_balance(5);
     EXPECT_EQ(account.get_balance(), 5);
-    // The simulator owns two threads (fault-plan worker, delivery thread);
-    // each platform runtime (replica and client) owns only its dispatch
-    // pool. Runtimes, registry and agent start no receive threads.
-    EXPECT_EQ(thread_count() - before, 2 + 2 * opts.platform_threads)
+    // The simulator owns one thread (its delivery thread); each platform
+    // runtime (replica and client) owns only its dispatch pool. Runtimes,
+    // registry and agent start no receive threads.
+    EXPECT_EQ(thread_count() - before, 1 + 2 * opts.platform_threads)
         << "platform " << static_cast<int>(kind);
   }
+}
+
+TEST(SimNetworkThreads, RealTimeRunsOneThreadVirtualNone) {
+  std::thread([] {}).join();  // see above: a sanitizer helper starts first
+  const int before = thread_count();
+  {
+    net::NetConfig cfg;
+    cfg.time_mode = TimeMode::kVirtual;
+    net::SimNetwork net(cfg);
+    net.faults().run_plan(net::FaultPlan::parse("@10ms crash hostB\n"));
+    EXPECT_EQ(thread_count() - before, 0);
+  }
+  net::SimNetwork net;
+  net.faults().run_plan(net::FaultPlan::parse("@10ms crash hostB\n"));
+  EXPECT_EQ(thread_count() - before, 1);
 }
 
 // --- caller-runs dispatch ------------------------------------------------------
