@@ -7,7 +7,6 @@
 // aligned CDR format and the compact JRMP format.
 #include <benchmark/benchmark.h>
 
-#include "platform/corba/cdr.h"
 #include "platform/corba/giop.h"
 #include "platform/rmi/jrmp.h"
 
@@ -23,23 +22,21 @@ PiggybackMap typical_pb() {
   return {{"cq.id", Value(std::int64_t{42})}, {"cq.prio", Value(5)}};
 }
 
+constexpr const char* kCorbaKey = "Bank_agent_poa_1/Bank_CQoS_Skeleton";
+
 // Static stub path on CORBA: one-pass GIOP/CDR encode.
 void BM_CorbaStaticEncode(benchmark::State& state) {
   ValueList params = typical_params();
   PiggybackMap pb = typical_pb();
   for (auto _ : state) {
-    corba::RequestBody body;
-    body.reply_to = "cli/orbcli0";
-    body.object_key = "Bank_agent_poa_1/Bank_CQoS_Skeleton";
-    body.operation = "set_balance";
-    body.service_context = pb;
-    body.params = params;
-    benchmark::DoNotOptimize(corba::encode_request(1, body));
+    benchmark::DoNotOptimize(corba::giop_codec().encode_request(
+        1, "cli/orbcli0", kCorbaKey, "set_balance", pb, params));
   }
 }
 BENCHMARK(BM_CorbaStaticEncode);
 
-// DII path: NVList population (Any insertion deep copies) then marshal.
+// DII path: NVList population (Any insertion deep copies), the copy out of
+// it into the request's parameter list, then marshal (CorbaRequest::invoke).
 void BM_CorbaDiiEncode(benchmark::State& state) {
   ValueList params = typical_params();
   PiggybackMap pb = typical_pb();
@@ -50,13 +47,11 @@ void BM_CorbaDiiEncode(benchmark::State& state) {
     for (std::size_t i = 0; i < params.size(); ++i) {
       nvlist.emplace_back("arg" + std::to_string(i), params[i]);
     }
-    corba::RequestBody body;
-    body.reply_to = "cli/orbcli0";
-    body.object_key = "Bank_agent_poa_1/Bank_CQoS_Skeleton";
-    body.operation = "set_balance";
-    body.service_context = pb;
-    for (auto& nv : nvlist) body.params.push_back(nv.second);
-    benchmark::DoNotOptimize(corba::encode_request(1, body));
+    ValueList request_params;
+    request_params.reserve(nvlist.size());
+    for (auto& nv : nvlist) request_params.push_back(nv.second);
+    benchmark::DoNotOptimize(corba::giop_codec().encode_request(
+        1, "cli/orbcli0", kCorbaKey, "set_balance", pb, request_params));
   }
 }
 BENCHMARK(BM_CorbaDiiEncode);
@@ -66,30 +61,20 @@ void BM_RmiEncode(benchmark::State& state) {
   ValueList params = typical_params();
   PiggybackMap pb = typical_pb();
   for (auto _ : state) {
-    rmi::CallBody body;
-    body.reply_to = "cli/rmicli0";
-    body.target = "Bank_CQoS_Skeleton_1";
-    body.method = "set_balance";
-    body.piggyback = pb;
-    body.params = params;
-    benchmark::DoNotOptimize(rmi::encode_call(1, body));
+    benchmark::DoNotOptimize(rmi::jrmp_codec().encode_request(
+        1, "cli/rmicli0", "Bank_CQoS_Skeleton_1", "set_balance", pb, params));
   }
 }
 BENCHMARK(BM_RmiEncode);
 
 // Server side: static decode vs DSI decode (+ Any extraction copy).
 void BM_CorbaDecode(benchmark::State& state, bool dsi) {
-  corba::RequestBody body;
-  body.reply_to = "cli/orbcli0";
-  body.object_key = "poa/Obj";
-  body.operation = "set_balance";
-  body.service_context = typical_pb();
-  body.params = typical_params();
-  Bytes frame = corba::encode_request(1, body);
+  const plat::Codec& giop = corba::giop_codec();
+  Bytes frame = giop.encode_request(1, "cli/orbcli0", "poa/Obj",
+                                    "set_balance", typical_pb(),
+                                    typical_params());
   for (auto _ : state) {
-    ByteReader r(frame);
-    corba::read_frame(r);
-    corba::RequestBody decoded = corba::decode_request_body(r);
+    plat::Frame decoded = giop.decode(frame);
     if (dsi) {
       ValueList extracted = decoded.params;  // Any extraction copy
       benchmark::DoNotOptimize(extracted);
@@ -107,39 +92,21 @@ BENCHMARK(BM_CorbaStaticDecode);
 BENCHMARK(BM_CorbaDsiDecode);
 
 void BM_RmiDecode(benchmark::State& state) {
-  rmi::CallBody body;
-  body.reply_to = "cli/rmicli0";
-  body.target = "Obj";
-  body.method = "set_balance";
-  body.piggyback = typical_pb();
-  body.params = typical_params();
-  Bytes frame = rmi::encode_call(1, body);
-  for (auto _ : state) {
-    ByteReader r(frame);
-    rmi::read_header(r);
-    benchmark::DoNotOptimize(rmi::decode_call_body(r));
-  }
+  const plat::Codec& jrmp = rmi::jrmp_codec();
+  Bytes frame = jrmp.encode_request(1, "cli/rmicli0", "Obj", "set_balance",
+                                    typical_pb(), typical_params());
+  for (auto _ : state) benchmark::DoNotOptimize(jrmp.decode(frame));
 }
 BENCHMARK(BM_RmiDecode);
 
 // Wire-size comparison printed once at the end of the run.
 void BM_WireSizes(benchmark::State& state) {
-  corba::RequestBody greq;
-  greq.reply_to = "cli/orbcli0";
-  greq.object_key = "Bank_agent_poa_1/Bank_CQoS_Skeleton";
-  greq.operation = "set_balance";
-  greq.service_context = typical_pb();
-  greq.params = typical_params();
-  Bytes giop = corba::encode_request(1, greq);
-
-  rmi::CallBody jreq;
-  jreq.reply_to = "cli/rmicli0";
-  jreq.target = "Bank_CQoS_Skeleton_1";
-  jreq.method = "set_balance";
-  jreq.piggyback = typical_pb();
-  jreq.params = typical_params();
-  Bytes jrmp = rmi::encode_call(1, jreq);
-
+  Bytes giop = corba::giop_codec().encode_request(
+      1, "cli/orbcli0", kCorbaKey, "set_balance", typical_pb(),
+      typical_params());
+  Bytes jrmp = rmi::jrmp_codec().encode_request(
+      1, "cli/rmicli0", "Bank_CQoS_Skeleton_1", "set_balance", typical_pb(),
+      typical_params());
   for (auto _ : state) {
     benchmark::DoNotOptimize(giop.size());
     benchmark::DoNotOptimize(jrmp.size());

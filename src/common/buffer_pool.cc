@@ -1,13 +1,9 @@
 #include "common/buffer_pool.h"
 
-#include <atomic>
-
 #include "common/metrics.h"
 
 namespace cqos {
 namespace {
-
-std::atomic<bool> g_enabled{true};
 
 struct FreeList {
   std::vector<Bytes> bufs;
@@ -42,17 +38,15 @@ metrics::Counter& discard_counter() {
 }  // namespace
 
 Bytes BufferPool::acquire(std::size_t reserve) {
-  if (g_enabled.load(std::memory_order_relaxed)) {
-    auto& fl = tls_free_list();
-    if (!fl.bufs.empty()) {
-      Bytes b = std::move(fl.bufs.back());
-      fl.bufs.pop_back();
-      hit_counter().inc();
-      if (b.capacity() < reserve) b.reserve(reserve);
-      return b;
-    }
-    miss_counter().inc();
+  auto& fl = tls_free_list();
+  if (!fl.bufs.empty()) {
+    Bytes b = std::move(fl.bufs.back());
+    fl.bufs.pop_back();
+    hit_counter().inc();
+    if (b.capacity() < reserve) b.reserve(reserve);
+    return b;
   }
+  miss_counter().inc();
   Bytes b;
   if (reserve > 0) b.reserve(reserve);
   return b;
@@ -61,29 +55,16 @@ Bytes BufferPool::acquire(std::size_t reserve) {
 void BufferPool::recycle(Bytes&& b) {
   // Moved-from and never-allocated vectors carry no capacity worth keeping.
   if (b.capacity() == 0) return;
-  if (!g_enabled.load(std::memory_order_relaxed) ||
-      b.capacity() > kMaxRetainedCapacity) {
+  auto& fl = tls_free_list();
+  if (b.capacity() > kMaxRetainedCapacity || fl.bufs.size() >= kMaxFreeList) {
     discard_counter().inc();
     Bytes dead = std::move(b);  // free here, explicitly
-    return;
-  }
-  auto& fl = tls_free_list();
-  if (fl.bufs.size() >= kMaxFreeList) {
-    discard_counter().inc();
-    Bytes dead = std::move(b);
     return;
   }
   b.clear();
   fl.bufs.push_back(std::move(b));
   recycle_counter().inc();
 }
-
-void BufferPool::set_enabled(bool on) {
-  g_enabled.store(on, std::memory_order_relaxed);
-  if (!on) clear_thread_cache();
-}
-
-bool BufferPool::enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 void BufferPool::clear_thread_cache() { tls_free_list().bufs.clear(); }
 

@@ -8,7 +8,8 @@
 // ByteWriter's backing buffer comes from BufferPool: construction acquires
 // a recycled vector (capacity intact from a previous request), destruction
 // recycles whatever was not take()n out. take() transfers ownership to the
-// caller, who recycles it at the end of the hop (see DESIGN.md §10).
+// caller. A delivered payload is recycled where its hop ends, on the
+// receive path; a dropped one is simply freed (see DESIGN.md §10).
 #pragma once
 
 #include <cstdint>

@@ -8,8 +8,6 @@
 namespace cqos {
 namespace {
 
-std::atomic<bool> g_encode_cache_enabled{true};
-
 metrics::Counter& encodes_counter() {
   static metrics::Counter& c =
       metrics::Registry::global().counter("cqos.request.encodes");
@@ -50,25 +48,12 @@ void Request::set_encrypted_params(Bytes ciphertext) {
 }
 
 std::shared_ptr<const Bytes> Request::encoded_params() const {
-  if (!encode_cache_enabled()) {
-    encodes_counter().inc();
-    MutexLock lk(encode_mu_);
-    return std::make_shared<const Bytes>(Value::encode_list(params_));
-  }
   MutexLock lk(encode_mu_);
   if (!encoded_cache_) {
     encodes_counter().inc();
     encoded_cache_ = std::make_shared<const Bytes>(Value::encode_list(params_));
   }
   return encoded_cache_;
-}
-
-void Request::set_encode_cache_enabled(bool on) {
-  g_encode_cache_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool Request::encode_cache_enabled() {
-  return g_encode_cache_enabled.load(std::memory_order_relaxed);
 }
 
 bool Request::complete(bool success, Value result, std::string error) {

@@ -110,10 +110,6 @@ class Request : public std::enable_shared_from_this<Request> {
   /// `cqos.request.encodes` counter — the single-encode invariant's proof.
   std::shared_ptr<const Bytes> encoded_params() const;
 
-  /// Ablation/test knob: disabled, encoded_params() re-encodes every call.
-  static void set_encode_cache_enabled(bool on);
-  static bool encode_cache_enabled();
-
   /// Server side: true when this request arrived via replica-to-replica
   /// forwarding (PassiveRep) rather than from a client; no reply is due.
   bool forwarded = false;

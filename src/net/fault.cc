@@ -207,11 +207,6 @@ void FaultController::refresh_quiescent() {
   quiescent_.store(q, std::memory_order_release);
 }
 
-FaultController::~FaultController() {
-  MutexLock lk(mu_);
-  for (Message& m : take_all_held()) BufferPool::recycle(std::move(m.payload));
-}
-
 std::vector<Message> FaultController::take_all_held() {
   std::vector<Message> out;
   for (auto& [to, vec] : holds_) {

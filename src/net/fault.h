@@ -126,7 +126,6 @@ struct FaultDecision {
 class FaultController {
  public:
   FaultController(SimNetwork& net, std::uint64_t seed);
-  ~FaultController();
 
   FaultController(const FaultController&) = delete;
   FaultController& operator=(const FaultController&) = delete;

@@ -166,7 +166,6 @@ bool SimNetwork::send(const std::string& from, const std::string& to,
   }
   if (!dest) {
     count_drop(from_host, to_host, "unknown_dest");
-    BufferPool::recycle(std::move(payload));
     return false;
   }
 
@@ -176,7 +175,6 @@ bool SimNetwork::send(const std::string& from, const std::string& to,
     CQOS_LOG_DEBUG("net: dropped message ", from, " -> ", to, " (",
                    verdict.drop_reason, ")");
     count_drop(from_host, to_host, verdict.drop_reason);
-    BufferPool::recycle(std::move(payload));
     return false;
   }
 
@@ -331,7 +329,6 @@ void SimNetwork::deposit_swept(Message msg) {
   }
   if (!dest) {
     gone_counter_->inc();
-    BufferPool::recycle(std::move(msg.payload));
     return;
   }
   registry().counter("net.fault.reorder.swept").inc();
@@ -366,7 +363,6 @@ SimNetwork::Dest& SimNetwork::dest_locked(ClampShard& shard,
 void SimNetwork::add_pending(Dest& d, Message&& msg) {
   if (d.crashed) {
     refused_counter_->inc();
-    BufferPool::recycle(std::move(msg.payload));
     return;
   }
   // The clamp makes deliver_at non-decreasing per destination, so this
@@ -383,7 +379,6 @@ void SimNetwork::add_pending(Dest& d, Message&& msg) {
 void SimNetwork::drop_pending(Dest& d, metrics::Counter& lost) {
   if (d.pending.empty()) return;
   lost.inc(d.pending.size());
-  for (Message& m : d.pending) BufferPool::recycle(std::move(m.payload));
   d.pending.clear();
 }
 

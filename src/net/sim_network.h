@@ -84,8 +84,7 @@ class SimNetwork : public Transport {
   ///
   /// Takes the payload by rvalue: the buffer moves into the in-flight
   /// Message and from there into the receiver's inbox without copying
-  /// (zero-copy delivery; DESIGN.md §10). Dropped/refused payloads are
-  /// recycled into the BufferPool.
+  /// (zero-copy delivery; DESIGN.md §10).
   bool send(const std::string& from, const std::string& to,
             Bytes&& payload) override;
 

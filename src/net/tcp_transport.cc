@@ -145,7 +145,6 @@ bool TcpTransport::send(const std::string& from, const std::string& to,
   std::size_t frame_len = frame_overhead(from, to) + payload.size();
   if (frame_len > cfg_.max_frame_bytes) {
     count_drop("oversize");
-    BufferPool::recycle(std::move(payload));
     return false;
   }
   std::shared_ptr<Endpoint> local;
@@ -266,12 +265,10 @@ bool TcpTransport::enqueue_frame_locked(const std::string& from,
   ConnPtr conn = route_locked(host_of(to));
   if (!conn) {
     count_drop("noroute");
-    BufferPool::recycle(std::move(payload));
     return false;
   }
   if (conn->wq_bytes + 4 + frame_len > cfg_.max_queued_bytes) {
     count_drop("backpressure");
-    BufferPool::recycle(std::move(payload));
     return false;
   }
 
@@ -497,7 +494,6 @@ void TcpTransport::route_frame_locked(const ConnPtr& c, Frame&& f,
   Message msg = received(std::move(f));
   if (it == endpoints_.end()) {
     count_drop("unknown_dest");
-    BufferPool::recycle(std::move(msg.payload));
     return;
   }
   due->push_back(Delivery{it->second, std::move(msg)});
@@ -536,7 +532,6 @@ void TcpTransport::close_conn_locked(const ConnPtr& c, const char* reason) {
   }
   ::close(c->fd);
   c->fd = -1;
-  for (Bytes& b : c->wq) BufferPool::recycle(std::move(b));
   c->wq.clear();
   c->wq_bytes = 0;
   if (had_queued) count_drop(reason);

@@ -19,7 +19,7 @@
 //                on the loop thread, once mu_ is released.
 //                EPOLLOUT (armed only while the write queue is non-empty)
 //                flushes queued frames, tolerating partial writes.
-//   kClosed      terminal: fd closed, queued frames recycled, routes that
+//   kClosed      terminal: fd closed, queued frames freed, routes that
 //                pointed here forgotten. Entered on peer close, EPOLLERR/
 //                EPOLLHUP, a framing protocol error (oversized/malformed
 //                frame), or connect failure/timeout.

@@ -45,21 +45,15 @@ bool Endpoint::deliver_now(Message msg) {
   Handler h;
   {
     MutexLock lk(mu_);
-    if (closed_ || crashed_) {
-      // Refused: recycle below, outside the lock.
-    } else if (!handler_) {
+    if (closed_ || crashed_) return false;  // refused
+    if (!handler_) {
       if (!inbox_) inbox_ = std::make_unique<std::deque<Message>>();
       inbox_->push_back(std::move(msg));
       cv_.notify_all();
       return true;
-    } else {
-      h = handler_;
-      ++active_;
     }
-  }
-  if (!h) {
-    BufferPool::recycle(std::move(msg.payload));
-    return false;
+    h = handler_;
+    ++active_;
   }
   struct Done {
     Endpoint& ep;

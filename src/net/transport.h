@@ -154,7 +154,6 @@ class Transport {
   ///
   /// Takes the payload by rvalue: the buffer moves into the in-flight
   /// message without copying (zero-copy delivery; DESIGN.md §10).
-  /// Dropped/refused payloads are recycled into the BufferPool.
   virtual bool send(const std::string& from, const std::string& to,
                     Bytes&& payload) = 0;
 

@@ -8,35 +8,6 @@ namespace cqos::http {
 
 // --- wire format ------------------------------------------------------------------
 
-namespace wire {
-
-std::string to_hex(const Bytes& data) {
-  static const char* digits = "0123456789abcdef";
-  std::string out;
-  out.reserve(data.size() * 2);
-  for (auto b : data) {
-    out.push_back(digits[b >> 4]);
-    out.push_back(digits[b & 0xf]);
-  }
-  return out;
-}
-
-Bytes from_hex(const std::string& hex) {
-  if (hex.size() % 2 != 0) throw DecodeError("odd hex length");
-  auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    throw DecodeError("bad hex digit");
-  };
-  Bytes out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    out.push_back(static_cast<std::uint8_t>(nibble(hex[i]) * 16 +
-                                            nibble(hex[i + 1])));
-  }
-  return out;
-}
-
 namespace {
 
 void append(Bytes& out, std::string_view text) {
@@ -60,181 +31,155 @@ Bytes build(const std::string& head,
   return out;
 }
 
-std::string encode_pb_header(const PiggybackMap& pb) {
+/// The piggyback map in the Value codec's format, as lowercase hex.
+std::string piggyback_to_hex(const PiggybackMap& pb) {
+  static const char* digits = "0123456789abcdef";
   ByteWriter w;
   encode_piggyback(w, pb);
-  return to_hex(w.data());
+  std::string out;
+  out.reserve(w.size() * 2);
+  for (auto b : w.data()) {
+    out.push_back(digits[b >> 4]);
+    out.push_back(digits[b & 0xf]);
+  }
+  return out;
 }
 
-PiggybackMap decode_pb_header(const std::string& hex) {
-  Bytes raw = from_hex(hex);
+PiggybackMap piggyback_from_hex(const std::string& hex) {
+  if (hex.size() % 2 != 0) throw DecodeError("odd hex length");
+  auto nibble = [](char c) -> int {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    throw DecodeError("bad hex digit");
+  };
+  Bytes raw;
+  raw.reserve(hex.size() / 2);
+  for (std::size_t i = 0; i < hex.size(); i += 2) {
+    raw.push_back(static_cast<std::uint8_t>(nibble(hex[i]) * 16 +
+                                            nibble(hex[i + 1])));
+  }
   ByteReader r(raw);
   return decode_piggyback(r);
 }
 
-}  // namespace
-
-Bytes encode_request(std::uint64_t call_id, const std::string& reply_to,
-                     const std::string& path, const std::string& method,
-                     const PiggybackMap& pb, const ValueList& params) {
-  return build("POST /" + path + " CQOS/1.0",
-               {{"X-Call-Id", std::to_string(call_id)},
-                {"X-Reply-To", reply_to},
-                {"X-Method", method},
-                {"X-Piggyback", encode_pb_header(pb)}},
-               Value::encode_list(params));
-}
-
-Bytes encode_response(std::uint64_t call_id, bool ok, const Value& result,
-                      const std::string& error, const PiggybackMap& pb) {
-  Bytes body;
-  if (ok) {
-    ByteWriter w;
-    result.encode(w);
-    body = std::move(w).take();
-  } else {
-    body.assign(error.begin(), error.end());
-  }
-  return build(ok ? "CQOS/1.0 200 OK" : "CQOS/1.0 500 Application Error",
-               {{"X-Call-Id", std::to_string(call_id)},
-                {"X-Piggyback", encode_pb_header(pb)}},
-               body);
-}
-
-Bytes encode_ping(std::uint64_t call_id, const std::string& reply_to) {
-  return build("PING / CQOS/1.0",
-               {{"X-Call-Id", std::to_string(call_id)},
-                {"X-Reply-To", reply_to}},
-               {});
-}
-
-Bytes encode_pong(std::uint64_t call_id) {
-  return build("CQOS/1.0 204 Alive",
-               {{"X-Call-Id", std::to_string(call_id)}}, {});
-}
-
-Parsed parse(const Bytes& payload) {
-  std::string_view text(reinterpret_cast<const char*>(payload.data()),
-                        payload.size());
-  auto header_end = text.find("\r\n\r\n");
-  if (header_end == std::string_view::npos) {
-    throw DecodeError("http: missing header terminator");
-  }
-  std::size_t body_offset = header_end + 4;
-
-  // The start line, then "Key: value" header lines.
-  std::string_view start = text.substr(0, text.find("\r\n"));
-  std::map<std::string, std::string, std::less<>> headers;
-  for (std::size_t pos = start.size() + 2; pos < header_end;) {
-    std::size_t eol = text.find("\r\n", pos);
-    std::string_view line = text.substr(pos, eol - pos);
-    auto colon = line.find(": ");
-    if (colon == std::string_view::npos) {
-      throw DecodeError("http: malformed header line");
-    }
-    headers.emplace(line.substr(0, colon), line.substr(colon + 2));
-    pos = eol + 2;
-  }
-
-  auto header = [&](const char* key) -> const std::string& {
-    auto it = headers.find(key);
-    if (it == headers.end()) {
-      throw DecodeError(std::string("http: missing header ") + key);
-    }
-    return it->second;
-  };
-
-  // A whole-field decimal, or DecodeError (no std::stoull exceptions).
-  auto number = [&](const char* key) -> std::uint64_t {
-    const std::string& raw = header(key);
-    std::uint64_t value = 0;
-    auto [ptr, ec] =
-        std::from_chars(raw.data(), raw.data() + raw.size(), value);
-    if (ec != std::errc() || ptr != raw.data() + raw.size()) {
-      throw DecodeError(std::string("http: bad ") + key);
-    }
-    return value;
-  };
-
-  std::uint64_t content_length = number("Content-Length");
-  if (content_length > payload.size() - body_offset) {
-    throw DecodeError("http: truncated body");
-  }
-  auto body = std::span(payload).subspan(body_offset, content_length);
-
-  Parsed parsed;
-  parsed.call_id = number("X-Call-Id");
-  if (start.starts_with("POST /")) {
-    parsed.kind = Parsed::Kind::kRequest;
-    auto space = start.find(' ', 6);
-    if (space == std::string_view::npos) throw DecodeError("http: bad request line");
-    parsed.path = std::string(start.substr(6, space - 6));
-    parsed.reply_to = header("X-Reply-To");
-    parsed.method = header("X-Method");
-    parsed.piggyback = decode_pb_header(header("X-Piggyback"));
-    parsed.params = Value::decode_list(body);
-  } else if (start.starts_with("PING ")) {
-    parsed.kind = Parsed::Kind::kPing;
-    parsed.reply_to = header("X-Reply-To");
-  } else if (start.starts_with("CQOS/1.0 204")) {
-    parsed.kind = Parsed::Kind::kPong;
-  } else if (start.starts_with("CQOS/1.0 ")) {
-    parsed.kind = Parsed::Kind::kResponse;
-    parsed.piggyback = decode_pb_header(header("X-Piggyback"));
-    parsed.ok = start.substr(9, 3) == "200";
-    if (parsed.ok) {
-      ByteReader r(body);
-      parsed.result = Value::decode(r);
-      if (!r.done()) throw DecodeError("http: trailing bytes in result");
-    } else {
-      parsed.error.assign(body.begin(), body.end());
-    }
-  } else {
-    throw DecodeError("http: unrecognized start line");
-  }
-  return parsed;
-}
-
-namespace {
-
 class HttpCodec : public plat::Codec {
  public:
-  plat::Frame decode(const Bytes& bytes) const override {
-    Parsed p = parse(bytes);
-    switch (p.kind) {
-      case Parsed::Kind::kRequest:
-        return plat::Frame::request(p.call_id, std::move(p.reply_to),
-                                    std::move(p.path), std::move(p.method),
-                                    std::move(p.piggyback),
-                                    std::move(p.params));
-      case Parsed::Kind::kResponse:
-        return plat::Frame::answer(p.call_id, p.ok, std::move(p.result),
-                                   std::move(p.error), std::move(p.piggyback));
-      case Parsed::Kind::kPing:
-        return plat::Frame::ping(p.call_id, std::move(p.reply_to));
-      case Parsed::Kind::kPong:
-        break;
+  plat::Frame decode(const Bytes& payload) const override {
+    std::string_view text(reinterpret_cast<const char*>(payload.data()),
+                          payload.size());
+    auto header_end = text.find("\r\n\r\n");
+    if (header_end == std::string_view::npos) {
+      throw DecodeError("http: missing header terminator");
     }
-    return plat::Frame::answer(p.call_id, true);  // the pong
+    std::size_t body_offset = header_end + 4;
+
+    // The start line, then "Key: value" header lines.
+    std::string_view start = text.substr(0, text.find("\r\n"));
+    std::map<std::string, std::string, std::less<>> headers;
+    for (std::size_t pos = start.size() + 2; pos < header_end;) {
+      std::size_t eol = text.find("\r\n", pos);
+      std::string_view line = text.substr(pos, eol - pos);
+      auto colon = line.find(": ");
+      if (colon == std::string_view::npos) {
+        throw DecodeError("http: malformed header line");
+      }
+      headers.emplace(line.substr(0, colon), line.substr(colon + 2));
+      pos = eol + 2;
+    }
+
+    auto header = [&](const char* key) -> std::string& {
+      auto it = headers.find(key);
+      if (it == headers.end()) {
+        throw DecodeError(std::string("http: missing header ") + key);
+      }
+      return it->second;
+    };
+
+    // A whole-field decimal, or DecodeError (no std::stoull exceptions).
+    auto number = [&](const char* key) -> std::uint64_t {
+      const std::string& raw = header(key);
+      std::uint64_t value = 0;
+      auto [ptr, ec] =
+          std::from_chars(raw.data(), raw.data() + raw.size(), value);
+      if (ec != std::errc() || ptr != raw.data() + raw.size()) {
+        throw DecodeError(std::string("http: bad ") + key);
+      }
+      return value;
+    };
+
+    std::uint64_t content_length = number("Content-Length");
+    if (content_length > payload.size() - body_offset) {
+      throw DecodeError("http: truncated body");
+    }
+    auto body = std::span(payload).subspan(body_offset, content_length);
+
+    const std::uint64_t id = number("X-Call-Id");
+    if (start.starts_with("POST /")) {
+      auto space = start.find(' ', 6);
+      if (space == std::string_view::npos) {
+        throw DecodeError("http: bad request line");
+      }
+      std::string path(start.substr(6, space - 6));
+      return plat::Frame::request(
+          id, std::move(header("X-Reply-To")), std::move(path),
+          std::move(header("X-Method")),
+          piggyback_from_hex(header("X-Piggyback")), Value::decode_list(body));
+    }
+    if (start.starts_with("PING ")) {
+      return plat::Frame::ping(id, std::move(header("X-Reply-To")));
+    }
+    if (start.starts_with("CQOS/1.0 204")) return plat::Frame::answer(id, true);
+    if (!start.starts_with("CQOS/1.0 ")) {
+      throw DecodeError("http: unrecognized start line");
+    }
+    PiggybackMap pb = piggyback_from_hex(header("X-Piggyback"));
+    if (start.substr(9, 3) != "200") {
+      return plat::Frame::answer(id, false, {},
+                                 std::string(body.begin(), body.end()),
+                                 std::move(pb));
+    }
+    ByteReader r(body);
+    Value result = Value::decode(r);
+    if (!r.done()) throw DecodeError("http: trailing bytes in result");
+    return plat::Frame::answer(id, true, std::move(result), {}, std::move(pb));
   }
 
   Bytes encode_request(std::uint64_t id, const std::string& reply_to,
                        const std::string& target, const std::string& method,
                        const PiggybackMap& pb,
                        const ValueList& params) const override {
-    return wire::encode_request(id, reply_to, target, method, pb, params);
+    return build("POST /" + target + " CQOS/1.0",
+                 {{"X-Call-Id", std::to_string(id)},
+                  {"X-Reply-To", reply_to},
+                  {"X-Method", method},
+                  {"X-Piggyback", piggyback_to_hex(pb)}},
+                 Value::encode_list(params));
   }
   Bytes encode_reply(std::uint64_t id,
                      const plat::Reply& reply) const override {
-    return encode_response(id, reply.ok(), reply.result, reply.error,
-                           reply.piggyback);
+    Bytes body;
+    if (reply.ok()) {
+      ByteWriter w;
+      reply.result.encode(w);
+      body = std::move(w).take();
+    } else {
+      body.assign(reply.error.begin(), reply.error.end());
+    }
+    return build(reply.ok() ? "CQOS/1.0 200 OK"
+                            : "CQOS/1.0 500 Application Error",
+                 {{"X-Call-Id", std::to_string(id)},
+                  {"X-Piggyback", piggyback_to_hex(reply.piggyback)}},
+                 body);
   }
   Bytes encode_ping(std::uint64_t id,
                     const std::string& reply_to) const override {
-    return wire::encode_ping(id, reply_to);
+    return build("PING / CQOS/1.0",
+                 {{"X-Call-Id", std::to_string(id)}, {"X-Reply-To", reply_to}},
+                 {});
   }
   Bytes encode_pong(std::uint64_t id) const override {
-    return wire::encode_pong(id);
+    return build("CQOS/1.0 204 Alive", {{"X-Call-Id", std::to_string(id)}},
+                 {});
   }
   std::string not_found(const std::string& target) const override {
     return "404 Not Found: /" + target;
@@ -243,12 +188,10 @@ class HttpCodec : public plat::Codec {
 
 }  // namespace
 
-const plat::Codec& codec() {
+const plat::Codec& http_codec() {
   static const HttpCodec codec;
   return codec;
 }
-
-}  // namespace wire
 
 // --- HttpPlatform ------------------------------------------------------------------
 
@@ -266,7 +209,7 @@ std::string url_path(const std::string& name) {
 
 HttpPlatform::HttpPlatform(net::Transport& network, const std::string& host,
                            HttpConfig cfg)
-    : Runtime(network, host, "http", wire::codec(), cfg, "", {}),
+    : Runtime(network, host, "http", http_codec(), cfg, "", {}),
       cfg_(std::move(cfg)) {}
 
 std::shared_ptr<plat::ObjectRef> HttpPlatform::resolve(const std::string& name,

@@ -82,37 +82,7 @@ class HttpPlatform : public plat::Runtime {
   HttpConfig cfg_;
 };
 
-/// Exposed for wire-format tests.
-namespace wire {
-std::string to_hex(const Bytes& data);
-Bytes from_hex(const std::string& hex);
-
-Bytes encode_request(std::uint64_t call_id, const std::string& reply_to,
-                     const std::string& path, const std::string& method,
-                     const PiggybackMap& pb, const ValueList& params);
-Bytes encode_response(std::uint64_t call_id, bool ok, const Value& result,
-                      const std::string& error, const PiggybackMap& pb);
-Bytes encode_ping(std::uint64_t call_id, const std::string& reply_to);
-Bytes encode_pong(std::uint64_t call_id);
-
-struct Parsed {
-  enum class Kind { kRequest, kResponse, kPing, kPong } kind{};
-  std::uint64_t call_id = 0;
-  std::string reply_to;
-  std::string path;
-  std::string method;
-  PiggybackMap piggyback;
-  ValueList params;   // requests
-  bool ok = true;     // responses
-  Value result;       // responses
-  std::string error;  // responses
-};
-
-/// Throws DecodeError on malformed messages.
-Parsed parse(const Bytes& payload);
-
-/// The text protocol as the runtime's codec (decode() is parse()).
-const plat::Codec& codec();
-}  // namespace wire
+/// The text protocol above as the runtime's codec: the format's only API.
+const plat::Codec& http_codec();
 
 }  // namespace cqos::http

@@ -1,6 +1,16 @@
 #include "platform/rmi/jrmp.h"
 
 namespace cqos::rmi {
+namespace {
+
+enum class MsgType : std::uint8_t {
+  kCall = 1,
+  kReturn = 2,
+  kPing = 3,
+  kPong = 4,
+};
+
+constexpr std::uint8_t kMagic = 0x4a;  // 'J'
 
 void begin_message(ByteWriter& w, MsgType type, std::uint64_t call_id) {
   w.put_u8(kMagic);
@@ -8,91 +18,46 @@ void begin_message(ByteWriter& w, MsgType type, std::uint64_t call_id) {
   w.put_varint(call_id);
 }
 
-Header read_header(ByteReader& r) {
-  if (r.get_u8() != kMagic) throw DecodeError("bad JRMP magic");
-  Header h;
-  h.type = static_cast<MsgType>(r.get_u8());
-  h.call_id = r.get_varint();
-  return h;
-}
-
-namespace {
-
-Bytes return_message(std::uint64_t call_id, bool ok, const Value& result,
-                     const std::string& error, const PiggybackMap& pb) {
-  ByteWriter w(32 + (ok ? result.encoded_size() : error.size() + 10));
-  begin_message(w, MsgType::kReturn, call_id);
-  w.put_u8(ok ? 1 : 0);
-  if (ok) {
-    result.encode(w);
-  } else {
-    w.put_string(error);
-  }
-  encode_piggyback(w, pb);
-  return std::move(w).take();
-}
-
-}  // namespace
-
-Bytes encode_call(std::uint64_t call_id, const CallBody& body) {
-  return jrmp_codec().encode_request(call_id, body.reply_to, body.target,
-                                     body.method, body.piggyback, body.params);
-}
-
-CallBody decode_call_body(ByteReader& r) {
-  CallBody body;
-  body.reply_to = r.get_string();
-  body.target = r.get_string();
-  body.method = r.get_string();
-  body.piggyback = decode_piggyback(r);
-  std::uint64_t n = r.get_varint();
-  if (n > r.remaining()) throw DecodeError("param count too large");
-  body.params.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) body.params.push_back(Value::decode(r));
-  return body;
-}
-
-Bytes encode_return(std::uint64_t call_id, const ReturnBody& body) {
-  return return_message(call_id, body.ok, body.result, body.error,
-                        body.piggyback);
-}
-
-ReturnBody decode_return_body(ByteReader& r) {
-  ReturnBody body;
-  body.ok = r.get_u8() != 0;
-  if (body.ok) {
-    body.result = Value::decode(r);
-  } else {
-    body.error = r.get_string();
-  }
-  body.piggyback = decode_piggyback(r);
-  return body;
-}
-
-namespace {
-
 class JrmpCodec : public plat::Codec {
  public:
   plat::Frame decode(const Bytes& bytes) const override {
     ByteReader r(bytes);
-    Header h = read_header(r);
-    switch (h.type) {
+    if (r.get_u8() != kMagic) throw DecodeError("bad JRMP magic");
+    const auto type = static_cast<MsgType>(r.get_u8());
+    const std::uint64_t id = r.get_varint();
+    switch (type) {
       case MsgType::kCall: {
-        CallBody b = decode_call_body(r);
-        return plat::Frame::request(h.call_id, std::move(b.reply_to),
-                                    std::move(b.target), std::move(b.method),
-                                    std::move(b.piggyback),
-                                    std::move(b.params));
+        std::string reply_to = r.get_string();
+        std::string target = r.get_string();
+        std::string method = r.get_string();
+        PiggybackMap pb = decode_piggyback(r);
+        std::uint64_t n = r.get_varint();
+        if (n > r.remaining()) throw DecodeError("param count too large");
+        ValueList params;
+        params.reserve(n);
+        for (std::uint64_t i = 0; i < n; ++i) {
+          params.push_back(Value::decode(r));
+        }
+        return plat::Frame::request(id, std::move(reply_to), std::move(target),
+                                    std::move(method), std::move(pb),
+                                    std::move(params));
       }
       case MsgType::kReturn: {
-        ReturnBody b = decode_return_body(r);
-        return plat::Frame::answer(h.call_id, b.ok, std::move(b.result),
-                                   std::move(b.error), std::move(b.piggyback));
+        const bool ok = r.get_u8() != 0;
+        Value result;
+        std::string error;
+        if (ok) {
+          result = Value::decode(r);
+        } else {
+          error = r.get_string();
+        }
+        return plat::Frame::answer(id, ok, std::move(result), std::move(error),
+                                   decode_piggyback(r));
       }
       case MsgType::kPing:
-        return plat::Frame::ping(h.call_id, r.get_string());
+        return plat::Frame::ping(id, r.get_string());
       case MsgType::kPong:
-        return plat::Frame::answer(h.call_id, r.get_u8() != 0);
+        return plat::Frame::answer(id, r.get_u8() != 0);
       default:
         throw DecodeError("unexpected JRMP message type");
     }
@@ -118,8 +83,18 @@ class JrmpCodec : public plat::Codec {
   }
   Bytes encode_reply(std::uint64_t id,
                      const plat::Reply& reply) const override {
-    return return_message(id, reply.ok(), reply.result, reply.error,
-                          reply.piggyback);
+    const bool ok = reply.ok();
+    ByteWriter w(32 + (ok ? reply.result.encoded_size()
+                          : reply.error.size() + 10));
+    begin_message(w, MsgType::kReturn, id);
+    w.put_u8(ok ? 1 : 0);
+    if (ok) {
+      reply.result.encode(w);
+    } else {
+      w.put_string(reply.error);
+    }
+    encode_piggyback(w, reply.piggyback);
+    return std::move(w).take();
   }
   Bytes encode_ping(std::uint64_t id,
                     const std::string& reply_to) const override {

@@ -1,5 +1,5 @@
 // BufferPool tests: free-list recycling semantics, retention caps,
-// cross-thread recycle, the enable knob, and a concurrent stress designed to
+// cross-thread recycle, and a concurrent stress designed to
 // run under TSan (tools/sanitize.sh tsan) — the pool is thread-local by
 // design, so the only shared state the stress exercises is the hand-off of
 // whole buffers between threads (the moved-payload path in SimNetwork).
@@ -14,17 +14,11 @@
 namespace cqos {
 namespace {
 
-/// Every test starts from an empty thread cache and leaves the pool enabled.
+/// Every test starts and ends with an empty thread cache.
 class BufferPoolTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    BufferPool::set_enabled(true);
-    BufferPool::clear_thread_cache();
-  }
-  void TearDown() override {
-    BufferPool::set_enabled(true);
-    BufferPool::clear_thread_cache();
-  }
+  void SetUp() override { BufferPool::clear_thread_cache(); }
+  void TearDown() override { BufferPool::clear_thread_cache(); }
 };
 
 TEST_F(BufferPoolTest, AcquireReturnsEmptyBufferWithRequestedCapacity) {
@@ -68,17 +62,6 @@ TEST_F(BufferPoolTest, EmptyAndMovedFromBuffersAreDroppedCheaply) {
   EXPECT_EQ(BufferPool::thread_cache_size(), 0u);
 }
 
-TEST_F(BufferPoolTest, DisabledPoolRetainsNothing) {
-  BufferPool::set_enabled(false);
-  Bytes b;
-  b.resize(128);
-  BufferPool::recycle(std::move(b));
-  EXPECT_EQ(BufferPool::thread_cache_size(), 0u);
-  Bytes fresh = BufferPool::acquire(64);
-  EXPECT_TRUE(fresh.empty());
-  EXPECT_GE(fresh.capacity(), 64u);
-}
-
 TEST_F(BufferPoolTest, CrossThreadRecycleFeedsTheRecyclingThread) {
   Bytes b = BufferPool::acquire();
   b.resize(2048);
@@ -92,27 +75,6 @@ TEST_F(BufferPoolTest, CrossThreadRecycleFeedsTheRecyclingThread) {
   t.join();
   EXPECT_EQ(other_cache, 1u);              // receiver's pool got it
   EXPECT_EQ(BufferPool::thread_cache_size(), 0u);  // not ours
-}
-
-TEST_F(BufferPoolTest, PooledBytesRecyclesOnDestruction) {
-  {
-    PooledBytes pb(256);
-    pb->resize(256, 0x11);
-  }
-  EXPECT_EQ(BufferPool::thread_cache_size(), 1u);
-}
-
-TEST_F(BufferPoolTest, PooledBytesTakeTransfersOwnership) {
-  Bytes out;
-  {
-    PooledBytes pb(64);
-    pb->resize(32, 0x22);
-    out = std::move(pb).take();
-  }
-  // take() moved the allocation out; the destructor recycled an empty shell,
-  // which the pool drops.
-  EXPECT_EQ(out.size(), 32u);
-  EXPECT_EQ(BufferPool::thread_cache_size(), 0u);
 }
 
 // Concurrent stress: each thread runs acquire/fill/recycle cycles against

@@ -13,20 +13,30 @@ namespace {
 
 // --- wire format ----------------------------------------------------------------
 
+plat::Reply reply(bool ok, Value result, std::string error) {
+  plat::Reply r;
+  r.status = ok ? plat::ReplyStatus::kOk : plat::ReplyStatus::kAppError;
+  r.result = std::move(result);
+  r.error = std::move(error);
+  return r;
+}
+
 TEST(HttpWire, RequestRoundtrip) {
+  const plat::Codec& codec = http::http_codec();
   PiggybackMap pb{{"cq.id", Value(7)}, {"cq.prio", Value(9)}};
   ValueList params{Value(1), Value("x"), Value(Bytes{0, 255})};
-  Bytes frame = http::wire::encode_request(42, "cli/httpcli0", "Bank",
-                                           "set_balance", pb, params);
+  Bytes frame =
+      codec.encode_request(42, "cli/httpcli0", "Bank", "set_balance", pb,
+                           params);
   // The header block is readable text.
   std::string text(frame.begin(), frame.end());
   EXPECT_NE(text.find("POST /Bank CQOS/1.0\r\n"), std::string::npos);
   EXPECT_NE(text.find("X-Method: set_balance\r\n"), std::string::npos);
 
-  http::wire::Parsed parsed = http::wire::parse(frame);
-  EXPECT_EQ(parsed.kind, http::wire::Parsed::Kind::kRequest);
-  EXPECT_EQ(parsed.call_id, 42u);
-  EXPECT_EQ(parsed.path, "Bank");
+  plat::Frame parsed = codec.decode(frame);
+  EXPECT_EQ(parsed.kind, plat::Frame::Kind::kRequest);
+  EXPECT_EQ(parsed.id, 42u);
+  EXPECT_EQ(parsed.target, "Bank");
   EXPECT_EQ(parsed.method, "set_balance");
   EXPECT_EQ(parsed.reply_to, "cli/httpcli0");
   EXPECT_EQ(parsed.piggyback, pb);
@@ -34,32 +44,41 @@ TEST(HttpWire, RequestRoundtrip) {
 }
 
 TEST(HttpWire, ResponseRoundtripBothStatuses) {
-  Bytes ok = http::wire::encode_response(1, true, Value(123), "", {});
-  http::wire::Parsed parsed_ok = http::wire::parse(ok);
-  EXPECT_EQ(parsed_ok.kind, http::wire::Parsed::Kind::kResponse);
-  EXPECT_TRUE(parsed_ok.ok);
-  EXPECT_EQ(parsed_ok.result, Value(123));
+  const plat::Codec& codec = http::http_codec();
+  Bytes ok = codec.encode_reply(1, reply(true, Value(123), ""));
+  EXPECT_EQ(std::string(ok.begin(), ok.begin() + 17), "CQOS/1.0 200 OK\r\n");
+  plat::Frame parsed_ok = codec.decode(ok);
+  EXPECT_EQ(parsed_ok.kind, plat::Frame::Kind::kReply);
+  EXPECT_TRUE(parsed_ok.reply.ok());
+  EXPECT_EQ(parsed_ok.reply.result, Value(123));
 
-  Bytes err = http::wire::encode_response(2, false, Value(), "boom", {});
-  http::wire::Parsed parsed_err = http::wire::parse(err);
-  EXPECT_FALSE(parsed_err.ok);
-  EXPECT_EQ(parsed_err.error, "boom");
+  Bytes err = codec.encode_reply(2, reply(false, Value(), "boom"));
+  std::string err_text(err.begin(), err.end());
+  EXPECT_TRUE(err_text.starts_with("CQOS/1.0 500 Application Error\r\n"));
+  EXPECT_TRUE(err_text.ends_with("\r\n\r\nboom"));  // the error is the body
+  plat::Frame parsed_err = codec.decode(err);
+  EXPECT_FALSE(parsed_err.reply.ok());
+  EXPECT_EQ(parsed_err.reply.error, "boom");
 }
 
 TEST(HttpWire, PingPongRoundtrip) {
-  http::wire::Parsed ping =
-      http::wire::parse(http::wire::encode_ping(5, "cli/x"));
-  EXPECT_EQ(ping.kind, http::wire::Parsed::Kind::kPing);
+  const plat::Codec& codec = http::http_codec();
+  plat::Frame ping = codec.decode(codec.encode_ping(5, "cli/x"));
+  EXPECT_EQ(ping.kind, plat::Frame::Kind::kPing);
   EXPECT_EQ(ping.reply_to, "cli/x");
-  http::wire::Parsed pong = http::wire::parse(http::wire::encode_pong(5));
-  EXPECT_EQ(pong.kind, http::wire::Parsed::Kind::kPong);
-  EXPECT_EQ(pong.call_id, 5u);
+  Bytes pong_frame = codec.encode_pong(5);
+  EXPECT_EQ(std::string(pong_frame.begin(), pong_frame.begin() + 20),
+            "CQOS/1.0 204 Alive\r\n");
+  plat::Frame pong = codec.decode(pong_frame);
+  EXPECT_EQ(pong.kind, plat::Frame::Kind::kReply);
+  EXPECT_TRUE(pong.reply.ok());
+  EXPECT_EQ(pong.id, 5u);
 }
 
 TEST(HttpWire, MalformedMessagesRejected) {
   auto reject = [](const std::string& text) {
     Bytes data(text.begin(), text.end());
-    EXPECT_THROW(http::wire::parse(data), DecodeError) << text;
+    EXPECT_THROW(http::http_codec().decode(data), DecodeError) << text;
   };
   reject("GET / HTTP/1.1\r\n\r\n");             // wrong protocol
   reject("POST /x CQOS/1.0\r\n\r\n");           // missing headers
@@ -73,11 +92,25 @@ TEST(HttpWire, MalformedMessagesRejected) {
          "X-Reply-To: a\r\nContent-Length: 0\r\n\r\n");
 }
 
+// The piggyback map travels as hex text in the X-Piggyback header: every
+// byte value survives it, and a header that is not hex is a DecodeError.
 TEST(HttpWire, HexRoundtrip) {
-  Bytes data{0x00, 0x7f, 0xff, 0x12};
-  EXPECT_EQ(http::wire::from_hex(http::wire::to_hex(data)), data);
-  EXPECT_THROW(http::wire::from_hex("abc"), DecodeError);
-  EXPECT_THROW(http::wire::from_hex("zz"), DecodeError);
+  const plat::Codec& codec = http::http_codec();
+  PiggybackMap pb{{"cq.blob", Value(Bytes{0x00, 0x7f, 0xff, 0x12})}};
+  Bytes frame = codec.encode_request(1, "cli/x", "Bank", "m", pb, {});
+  EXPECT_EQ(codec.decode(frame).piggyback, pb);
+
+  auto with_piggyback = [](const std::string& hex) {
+    std::string text = "POST /Bank CQOS/1.0\r\nX-Call-Id: 1\r\n"
+                       "X-Reply-To: a\r\nX-Method: m\r\nX-Piggyback: " +
+                       hex + "\r\nContent-Length: 1\r\n\r\n";
+    Bytes data(text.begin(), text.end());
+    data.push_back(0);  // an empty parameter list
+    return data;
+  };
+  EXPECT_TRUE(codec.decode(with_piggyback("00")).piggyback.empty());
+  EXPECT_THROW(codec.decode(with_piggyback("abc")), DecodeError);
+  EXPECT_THROW(codec.decode(with_piggyback("zz")), DecodeError);
 }
 
 // --- platform behaviour -----------------------------------------------------------

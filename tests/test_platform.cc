@@ -186,50 +186,71 @@ TEST(Naming, CorbaRejectsMalformedNames) {
 
 // --- wire formats ----------------------------------------------------------------
 
-TEST(Giop, RequestRoundtrip) {
-  corba::RequestBody body;
-  body.reply_to = "cli/orbcli0";
-  body.object_key = "poa/Obj";
-  body.operation = "do_it";
-  body.service_context = {{"cq.id", Value(7)}};
-  body.params = {Value(1), Value("two"), Value(ValueList{Value(3.0)})};
-  Bytes frame = corba::encode_request(42, body);
+plat::Reply ok_reply(Value result, PiggybackMap pb = {}) {
+  plat::Reply reply;
+  reply.status = plat::ReplyStatus::kOk;
+  reply.result = std::move(result);
+  reply.piggyback = std::move(pb);
+  return reply;
+}
 
-  ByteReader r(frame);
-  corba::GiopHeader header = corba::read_frame(r);
-  EXPECT_EQ(header.type, corba::MsgType::kRequest);
-  EXPECT_EQ(header.request_id, 42u);
-  corba::RequestBody out = corba::decode_request_body(r);
-  EXPECT_EQ(out.reply_to, body.reply_to);
-  EXPECT_EQ(out.object_key, body.object_key);
-  EXPECT_EQ(out.operation, body.operation);
-  EXPECT_EQ(out.service_context, body.service_context);
-  EXPECT_EQ(out.params, body.params);
+plat::Reply failed_reply(plat::ReplyStatus status, std::string error,
+                         PiggybackMap pb = {}) {
+  plat::Reply reply;
+  reply.status = status;
+  reply.error = std::move(error);
+  reply.piggyback = std::move(pb);
+  return reply;
+}
+
+TEST(Giop, RequestRoundtrip) {
+  const plat::Codec& giop = corba::giop_codec();
+  PiggybackMap service_context{{"cq.id", Value(7)}};
+  ValueList params{Value(1), Value("two"), Value(ValueList{Value(3.0)})};
+  Bytes frame = giop.encode_request(42, "cli/orbcli0", "poa/Obj", "do_it",
+                                    service_context, params);
+  // GIOP 1.2 header: magic, version, little-endian flag, Request type, and
+  // the body size, which counts everything after the 12-byte header.
+  ASSERT_GE(frame.size(), 12u);
+  EXPECT_EQ(Bytes(frame.begin(), frame.begin() + 8),
+            (Bytes{'G', 'I', 'O', 'P', 1, 2, 1, 0}));
+  ByteReader size_field{std::span(frame).subspan(8, 4)};
+  EXPECT_EQ(size_field.get_u32(), frame.size() - 12);
+
+  plat::Frame out = giop.decode(frame);
+  EXPECT_EQ(out.kind, plat::Frame::Kind::kRequest);
+  EXPECT_EQ(out.id, 42u);
+  EXPECT_EQ(out.reply_to, "cli/orbcli0");
+  EXPECT_EQ(out.target, "poa/Obj");
+  EXPECT_EQ(out.method, "do_it");
+  EXPECT_EQ(out.piggyback, service_context);
+  EXPECT_EQ(out.params, params);
 }
 
 TEST(Giop, ReplyRoundtripBothStatuses) {
-  corba::ReplyBody ok;
-  ok.status = corba::GiopReplyStatus::kNoException;
-  ok.result = Value("fine");
-  Bytes frame = corba::encode_reply(7, ok);
-  ByteReader r(frame);
-  corba::read_frame(r);
-  EXPECT_EQ(corba::decode_reply_body(r).result, Value("fine"));
+  const plat::Codec& giop = corba::giop_codec();
+  Bytes frame = giop.encode_reply(7, ok_reply(Value("fine")));
+  EXPECT_EQ(frame[7], 1);  // message type Reply
+  EXPECT_EQ(frame[24], 0);  // after header and request id: NO_EXCEPTION
+  plat::Frame ok = giop.decode(frame);
+  EXPECT_EQ(ok.kind, plat::Frame::Kind::kReply);
+  EXPECT_EQ(ok.id, 7u);
+  EXPECT_TRUE(ok.reply.ok());
+  EXPECT_EQ(ok.reply.result, Value("fine"));
 
-  corba::ReplyBody err;
-  err.status = corba::GiopReplyStatus::kUserException;
-  err.error = "nope";
-  Bytes frame2 = corba::encode_reply(8, err);
-  ByteReader r2(frame2);
-  corba::read_frame(r2);
-  EXPECT_EQ(corba::decode_reply_body(r2).error, "nope");
+  Bytes frame2 =
+      giop.encode_reply(8, failed_reply(plat::ReplyStatus::kAppError, "nope"));
+  EXPECT_EQ(frame2[24], 1);  // USER_EXCEPTION
+  plat::Frame err = giop.decode(frame2);
+  EXPECT_EQ(err.id, 8u);
+  EXPECT_FALSE(err.reply.ok());
+  EXPECT_EQ(err.reply.error, "nope");
 }
 
 TEST(Giop, BadMagicRejected) {
-  Bytes frame = corba::encode_reply(1, {});
+  Bytes frame = corba::giop_codec().encode_reply(1, ok_reply(Value()));
   frame[0] = 'X';
-  ByteReader r(frame);
-  EXPECT_THROW(corba::read_frame(r), DecodeError);
+  EXPECT_THROW(corba::giop_codec().decode(frame), DecodeError);
 }
 
 TEST(Cdr, AnyRoundtripAllTypes) {
@@ -285,26 +306,29 @@ TEST(Jrmp, DuplicatePiggybackKeyRejected) {
   w.put_string("cq.trace");
   Value(std::int64_t{2}).encode(w);
   ByteReader r(w.data());
-  EXPECT_THROW(rmi::decode_pb(r), DecodeError);
+  EXPECT_THROW(decode_piggyback(r), DecodeError);
 }
 
 TEST(Jrmp, CallRoundtrip) {
-  rmi::CallBody body;
-  body.reply_to = "cli/rmicli0";
-  body.target = "Obj";
-  body.method = "do_it";
-  body.piggyback = {{"cq.prio", Value(9)}};
-  body.params = {Value(1), Value("x")};
-  Bytes frame = rmi::encode_call(5, body);
-  ByteReader r(frame);
-  rmi::Header h = rmi::read_header(r);
-  EXPECT_EQ(h.type, rmi::MsgType::kCall);
-  EXPECT_EQ(h.call_id, 5u);
-  rmi::CallBody out = rmi::decode_call_body(r);
+  const plat::Codec& jrmp = rmi::jrmp_codec();
+  PiggybackMap pb{{"cq.prio", Value(9)}};
+  ValueList params{Value(1), Value("x")};
+  Bytes frame = jrmp.encode_request(5, "cli/rmicli0", "Obj", "do_it", pb,
+                                    params);
+  // Magic 'J', message type Call, then the call id as a one-byte varint.
+  ASSERT_GE(frame.size(), 3u);
+  EXPECT_EQ(frame[0], 0x4a);
+  EXPECT_EQ(frame[1], 1);
+  EXPECT_EQ(frame[2], 5);
+
+  plat::Frame out = jrmp.decode(frame);
+  EXPECT_EQ(out.kind, plat::Frame::Kind::kRequest);
+  EXPECT_EQ(out.id, 5u);
+  EXPECT_EQ(out.reply_to, "cli/rmicli0");
   EXPECT_EQ(out.target, "Obj");
   EXPECT_EQ(out.method, "do_it");
-  EXPECT_EQ(out.params, body.params);
-  EXPECT_EQ(out.piggyback, body.piggyback);
+  EXPECT_EQ(out.params, params);
+  EXPECT_EQ(out.piggyback, pb);
 }
 
 TEST(Jrmp, CompactnessBeatsGiop) {
@@ -313,51 +337,36 @@ TEST(Jrmp, CompactnessBeatsGiop) {
   ValueList params{Value(std::int64_t{123456}), Value("hello world"),
                    Value(2.5)};
   PiggybackMap pb{{"cq.id", Value(std::int64_t{99})}};
-
-  corba::RequestBody greq;
-  greq.reply_to = "cli/orbcli0";
-  greq.object_key = "Obj_poa/Obj";
-  greq.operation = "set_balance";
-  greq.service_context = pb;
-  greq.params = params;
-  Bytes giop = corba::encode_request(1, greq);
-
-  rmi::CallBody jreq;
-  jreq.reply_to = "cli/rmicli0";
-  jreq.target = "Obj";
-  jreq.method = "set_balance";
-  jreq.piggyback = pb;
-  jreq.params = params;
-  Bytes jrmp = rmi::encode_call(1, jreq);
-
+  Bytes giop = corba::giop_codec().encode_request(
+      1, "cli/orbcli0", "Obj_poa/Obj", "set_balance", pb, params);
+  Bytes jrmp = rmi::jrmp_codec().encode_request(1, "cli/rmicli0", "Obj",
+                                                "set_balance", pb, params);
   EXPECT_LT(jrmp.size(), giop.size());
 }
 
 TEST(Jrmp, ReturnRoundtripBothStatuses) {
-  rmi::ReturnBody ok;
-  ok.ok = true;
-  ok.result = Value(5);
-  Bytes f1 = rmi::encode_return(1, ok);
-  ByteReader r1(f1);
-  rmi::read_header(r1);
-  EXPECT_EQ(rmi::decode_return_body(r1).result, Value(5));
+  const plat::Codec& jrmp = rmi::jrmp_codec();
+  Bytes f1 = jrmp.encode_reply(1, ok_reply(Value(5)));
+  EXPECT_EQ(f1[1], 2);  // message type Return
+  EXPECT_EQ(f1[3], 1);  // after the one-byte call id: ok
+  plat::Frame ok = jrmp.decode(f1);
+  EXPECT_EQ(ok.kind, plat::Frame::Kind::kReply);
+  EXPECT_TRUE(ok.reply.ok());
+  EXPECT_EQ(ok.reply.result, Value(5));
 
-  rmi::ReturnBody err;
-  err.ok = false;
-  err.error = "bad";
-  Bytes f2 = rmi::encode_return(2, err);
-  ByteReader r2(f2);
-  rmi::read_header(r2);
-  rmi::ReturnBody out = rmi::decode_return_body(r2);
-  EXPECT_FALSE(out.ok);
-  EXPECT_EQ(out.error, "bad");
+  Bytes f2 =
+      jrmp.encode_reply(2, failed_reply(plat::ReplyStatus::kAppError, "bad"));
+  EXPECT_EQ(f2[3], 0);
+  plat::Frame err = jrmp.decode(f2);
+  EXPECT_EQ(err.id, 2u);
+  EXPECT_FALSE(err.reply.ok());
+  EXPECT_EQ(err.reply.error, "bad");
 }
 
 TEST(Jrmp, BadMagicRejected) {
-  Bytes frame = rmi::encode_return(1, {});
+  Bytes frame = rmi::jrmp_codec().encode_reply(1, ok_reply(Value()));
   frame[0] = 0x00;
-  ByteReader r(frame);
-  EXPECT_THROW(rmi::read_header(r), DecodeError);
+  EXPECT_THROW(rmi::jrmp_codec().decode(frame), DecodeError);
 }
 
 // --- codec decode: a frame or a DecodeError, nothing else ----------------------
@@ -373,30 +382,50 @@ void PrintTo(const CodecCase& c, std::ostream* os) { *os << c.name; }
 
 class CodecDecode : public ::testing::TestWithParam<CodecCase> {};
 
-// Every truncation of a valid request, reply, ping and pong frame decodes
-// or throws DecodeError; no other exception, crash or hang. These frames
-// are the seeds of a decode fuzzer.
+/// Every field of a decoded frame, whatever its kind (the fields a kind
+/// does not use are empty on both sides).
+void expect_same_frame(const plat::Frame& want, const plat::Frame& got) {
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.reply_to, want.reply_to);
+  EXPECT_EQ(got.target, want.target);
+  EXPECT_EQ(got.method, want.method);
+  EXPECT_EQ(got.piggyback, want.piggyback);
+  EXPECT_EQ(got.params, want.params);
+  EXPECT_EQ(got.reply.ok(), want.reply.ok());
+  EXPECT_EQ(got.reply.result, want.reply.result);
+  EXPECT_EQ(got.reply.error, want.reply.error);
+  EXPECT_EQ(got.reply.piggyback, want.reply.piggyback);
+}
+
+// Each whole request, reply (ok, failed, no such object), ping and pong
+// frame decodes to exactly what was encoded, and every truncation of it
+// decodes or throws DecodeError; no other exception, crash or hang. These
+// frames are the seeds of a decode fuzzer.
 TEST_P(CodecDecode, EveryTruncationIsAFrameOrADecodeError) {
   const plat::Codec& codec = GetParam().codec();
   PiggybackMap pb{{"cq.id", Value(7)}, {"cq.trace", Value("t-1")}};
+  PiggybackMap failed_pb{{"cq.status", Value("denied")}};
   ValueList params{Value(1), Value("two"), Value(Bytes{0, 255}),
                    Value(ValueList{Value(3.5), Value()})};
-  plat::Reply ok;
-  ok.status = plat::ReplyStatus::kOk;
-  ok.result = Value("result");
-  ok.piggyback = pb;
-  plat::Reply failed;
-  failed.status = plat::ReplyStatus::kAppError;
-  failed.error = "boom";
-  const std::vector<std::pair<std::uint64_t, Bytes>> frames{
-      {41,
+  const std::string missing = codec.not_found("poa/Obj");
+  const std::vector<std::pair<plat::Frame, Bytes>> frames{
+      {plat::Frame::request(41, "cli/cli0", "poa/Obj", "do_it", pb, params),
        codec.encode_request(41, "cli/cli0", "poa/Obj", "do_it", pb, params)},
-      {42, codec.encode_reply(42, ok)},
-      {43, codec.encode_reply(43, failed)},
-      {44, codec.encode_ping(44, "cli/cli0")},
-      {45, codec.encode_pong(45)}};
-  for (const auto& [id, frame] : frames) {
-    EXPECT_EQ(codec.decode(frame).id, id);
+      {plat::Frame::answer(42, true, Value("result"), {}, pb),
+       codec.encode_reply(42, ok_reply(Value("result"), pb))},
+      {plat::Frame::answer(43, false, {}, "boom", failed_pb),
+       codec.encode_reply(
+           43, failed_reply(plat::ReplyStatus::kAppError, "boom", failed_pb))},
+      {plat::Frame::answer(44, false, {}, missing),
+       codec.encode_reply(
+           44, failed_reply(plat::ReplyStatus::kUnreachable, missing))},
+      {plat::Frame::ping(45, "cli/cli0"), codec.encode_ping(45, "cli/cli0")},
+      {plat::Frame::answer(46, true), codec.encode_pong(46)}};
+  for (const auto& [want, frame] : frames) {
+    const std::uint64_t id = want.id;
+    SCOPED_TRACE("frame " + std::to_string(id));
+    expect_same_frame(want, codec.decode(frame));
     for (std::size_t n = 0; n < frame.size(); ++n) {
       Bytes prefix(frame.begin(),
                    frame.begin() + static_cast<std::ptrdiff_t>(n));
@@ -479,7 +508,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllCodecs, CodecDecode,
     ::testing::Values(CodecCase{"jrmp", &rmi::jrmp_codec},
                       CodecCase{"giop", &corba::giop_codec},
-                      CodecCase{"http", &http::wire::codec}),
+                      CodecCase{"http", &http::http_codec}),
     [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace

@@ -207,17 +207,5 @@ TEST(RequestEncodeCache, ResetInvalidatesTheCache) {
   EXPECT_EQ(*fresh, Value::encode_list({Value(9)}));
 }
 
-TEST(RequestEncodeCache, DisabledCacheReencodesEveryCall) {
-  Request::set_encode_cache_enabled(false);
-  Request req("obj", "m", {Value(5)});
-  std::uint64_t before = encodes();
-  auto a = req.encoded_params();
-  auto b = req.encoded_params();
-  Request::set_encode_cache_enabled(true);
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(*a, *b);
-  EXPECT_EQ(encodes() - before, 2u);
-}
-
 }  // namespace
 }  // namespace cqos
