@@ -1,6 +1,7 @@
 #include "cactus/composite.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/log.h"
 #include "common/metrics.h"
@@ -8,7 +9,81 @@
 
 namespace cqos::cactus {
 
+namespace {
+
+/// The event tables this thread's activations have run on, with a
+/// reference each. An activation whose table is cached here reads it with
+/// no lock and no reference-count write, so concurrent callers of one
+/// composite share no written cache line. `pins` counts the activations
+/// (nested raises) running on an entry; only an unpinned entry is
+/// replaced. A cached table outlives its publication until this thread
+/// replaces the entry or exits; the cached reference is what makes a
+/// pointer match safe (a live table's address is never reused).
+struct CachedTable {
+  const void* table = nullptr;
+  std::shared_ptr<const void> keep;
+  int pins = 0;
+};
+constexpr std::size_t kCachedTables = 8;
+thread_local std::array<CachedTable, kCachedTables> t_tables;
+thread_local std::size_t t_next_victim = 0;
+
+}  // namespace
+
+class CompositeProtocol::TableLease {
+ public:
+  explicit TableLease(const CompositeProtocol& proto) {
+    const Table* cur = proto.current_.load(std::memory_order_acquire);
+    for (CachedTable& e : t_tables) {
+      if (e.table == cur) {
+        ++e.pins;
+        entry_ = &e;
+        table_ = cur;
+        return;
+      }
+    }
+    // First activation of this thread on the published table: take a
+    // reference under the lock (the table may have moved on since; the
+    // newer one is as good).
+    std::shared_ptr<const Table> ref;
+    {
+      MutexLock lk(proto.mu_);
+      ref = proto.table_;
+    }
+    table_ = ref.get();
+    for (std::size_t i = 0; i < kCachedTables; ++i) {
+      CachedTable& e = t_tables[(t_next_victim + i) % kCachedTables];
+      if (e.pins != 0) continue;
+      t_next_victim = (t_next_victim + i + 1) % kCachedTables;
+      // The replaced table is released after the entry is rewritten.
+      std::shared_ptr<const void> old = std::move(e.keep);
+      e.table = table_;
+      e.keep = std::move(ref);
+      e.pins = 1;
+      entry_ = &e;
+      return;
+    }
+    own_ = std::move(ref);  // every entry pinned (deep nesting): hold it here
+  }
+  ~TableLease() {
+    if (entry_ != nullptr) --entry_->pins;
+  }
+  TableLease(const TableLease&) = delete;
+  TableLease& operator=(const TableLease&) = delete;
+
+  const Table& table() const { return *table_; }
+
+ private:
+  const Table* table_ = nullptr;
+  CachedTable* entry_ = nullptr;
+  std::shared_ptr<const Table> own_;
+};
+
 CompositeProtocol::CompositeProtocol(Options opts) : opts_(std::move(opts)) {
+  {
+    MutexLock lk(mu_);
+    publish_locked(std::make_shared<const Table>());
+  }
   if (opts_.use_thread_pool) {
     if (opts_.pool_classes.empty()) {
       pool_ = std::make_unique<PriorityThreadPool>(opts_.pool_threads,
@@ -56,64 +131,70 @@ std::vector<std::string> CompositeProtocol::protocol_names() const {
   return names;
 }
 
-CompositeProtocol::EventSlot& CompositeProtocol::slot_locked(
-    std::string_view event) {
-  auto it = events_.find(event);
-  if (it == events_.end()) {
-    it = events_.emplace(std::string(event), EventSlot{std::string(event), {}})
-             .first;
-  }
-  return it->second;
+void CompositeProtocol::publish_locked(std::shared_ptr<const Table> table) {
+  current_.store(table.get(), std::memory_order_release);
+  table_ = std::move(table);
 }
 
 BindingId CompositeProtocol::bind(std::string_view event,
                                   std::string handler_name, Handler handler,
                                   int order, std::any static_arg) {
+  std::shared_ptr<const Table> old;
   MutexLock lk(mu_);
-  EventSlot& slot = slot_locked(event);
-  auto binding = std::make_shared<Binding>(
+  auto binding = std::make_shared<const Binding>(
       Binding{next_binding_++, order, next_seq_++, std::move(handler_name),
               std::move(handler), std::move(static_arg)});
-  BindingId id = binding->id;
+  auto table = std::make_shared<Table>(*table_);
+  auto slot = table->events.find(event);
+  if (slot == table->events.end()) {
+    slot = table->events.try_emplace(std::string(event)).first;
+  }
+  auto& bindings = slot->second;
   auto pos = std::upper_bound(
-      slot.bindings.begin(), slot.bindings.end(), binding,
+      bindings.begin(), bindings.end(), binding,
       [](const auto& a, const auto& b) {
         return std::tie(a->order, a->seq) < std::tie(b->order, b->seq);
       });
-  slot.bindings.insert(pos, std::move(binding));
-  binding_event_.emplace(id, slot.name);
+  BindingId id = binding->id;
+  bindings.insert(pos, std::move(binding));
+  binding_event_.emplace(id, slot->first);
+  old = std::move(table_);  // released after the lock, with no lock held
+  publish_locked(std::move(table));
   return id;
 }
 
 bool CompositeProtocol::unbind(BindingId id) {
+  std::shared_ptr<const Table> old;
   MutexLock lk(mu_);
   auto it = binding_event_.find(id);
   if (it == binding_event_.end()) return false;
-  EventSlot& slot = slot_locked(it->second);
-  std::erase_if(slot.bindings, [&](const auto& b) { return b->id == id; });
+  auto table = std::make_shared<Table>(*table_);
+  auto slot = table->events.find(it->second);
+  if (slot != table->events.end()) {
+    std::erase_if(slot->second, [&](const auto& b) { return b->id == id; });
+  }
   binding_event_.erase(it);
+  old = std::move(table_);
+  publish_locked(std::move(table));
   return true;
 }
 
 std::size_t CompositeProtocol::binding_count(std::string_view event) const {
-  MutexLock lk(mu_);
-  auto it = events_.find(event);
-  return it == events_.end() ? 0 : it->second.bindings.size();
+  TableLease lease(*this);
+  auto it = lease.table().events.find(event);
+  return it == lease.table().events.end() ? 0 : it->second.size();
 }
 
 void CompositeProtocol::run_activation(std::string_view event,
                                        const std::any& dyn) {
-  // Snapshot the bindings so handlers can bind/unbind during execution.
-  std::vector<std::shared_ptr<Binding>> snapshot;
-  {
-    MutexLock lk(mu_);
-    auto it = events_.find(event);
-    if (it == events_.end()) return;
-    snapshot = it->second.bindings;
-  }
+  // The table is immutable, so handlers can bind/unbind during execution;
+  // this activation finishes on the table it started with.
+  TableLease lease(*this);
+  auto it = lease.table().events.find(event);
+  if (it == lease.table().events.end()) return;
   EventContext ctx(*this, event, dyn);
-  for (const auto& b : snapshot) {
-    ctx.static_arg_ = b->static_arg;
+  for (const auto& b : it->second) {
+    ctx.static_arg_ = &b->static_arg;
     try {
       b->handler(ctx);
     } catch (const std::exception& e) {
@@ -126,9 +207,8 @@ void CompositeProtocol::run_activation(std::string_view event,
 
 void CompositeProtocol::raise(std::string_view event, std::any dyn,
                               int priority) {
-  // No std::string materialization: events_ has transparent comparators and
-  // the snapshot outlives every use of the name (hot path — several raises
-  // per request).
+  // No std::string materialization: the table has transparent comparators
+  // (hot path — several raises per request).
   if (priority == kInheritPriority) {
     run_activation(event, dyn);
   } else {

@@ -52,11 +52,14 @@ inline constexpr int kInheritPriority = -1;
 
 using BindingId = std::uint64_t;
 
-/// Per-activation context handed to each handler.
+/// Per-activation context handed to each handler. It refers to the raise's
+/// dynamic argument and to the running binding's static argument instead of
+/// copying them, so it lives only as long as the activation.
 class EventContext {
  public:
-  EventContext(CompositeProtocol& proto, std::string_view event, std::any dyn)
-      : proto_(proto), event_(event), dyn_(std::move(dyn)) {}
+  EventContext(CompositeProtocol& proto, std::string_view event,
+               const std::any& dyn)
+      : proto_(proto), event_(event), dyn_(dyn) {}
 
   CompositeProtocol& protocol() { return proto_; }
   std::string_view event() const { return event_; }
@@ -81,7 +84,7 @@ class EventContext {
   /// handler runs).
   template <typename T>
   T static_arg() const {
-    if (const T* p = std::any_cast<T>(&static_arg_)) return *p;
+    if (const T* p = std::any_cast<T>(static_arg_)) return *p;
     throw TypeError("handler static argument has unexpected type");
   }
 
@@ -95,8 +98,8 @@ class EventContext {
   friend class CompositeProtocol;
   CompositeProtocol& proto_;
   std::string_view event_;
-  std::any dyn_;
-  std::any static_arg_;
+  const std::any& dyn_;
+  const std::any* static_arg_ = nullptr;
   bool halted_ = false;
 };
 
@@ -294,18 +297,28 @@ class CompositeProtocol {
     std::any static_arg;
   };
 
-  // Interned event name -> ordered bindings.
-  struct EventSlot {
-    std::string name;
-    std::vector<std::shared_ptr<Binding>> bindings;  // sorted (order, seq)
+  /// The event table: event name -> bindings sorted by (order, seq).
+  /// Immutable once published. bind()/unbind() copy the current table,
+  /// edit the copy and publish it (copy-on-write under mu_), so an
+  /// activation reads it with no lock and keeps running on the table it
+  /// started with when a handler binds or unbinds.
+  struct Table {
+    std::map<std::string, std::vector<std::shared_ptr<const Binding>>,
+             std::less<>>
+        events;
   };
+  /// Pins the published table for one activation (composite.cc).
+  class TableLease;
 
-  EventSlot& slot_locked(std::string_view event) CQOS_REQUIRES(mu_);
+  void publish_locked(std::shared_ptr<const Table> table) CQOS_REQUIRES(mu_);
   void run_activation(std::string_view event, const std::any& dyn);
 
   Options opts_;
   mutable Mutex mu_;
-  std::map<std::string, EventSlot, std::less<>> events_ CQOS_GUARDED_BY(mu_);
+  /// The published table (never null); current_ mirrors table_.get() for
+  /// the activations' lock-free read.
+  std::shared_ptr<const Table> table_ CQOS_GUARDED_BY(mu_);
+  std::atomic<const Table*> current_{nullptr};
   std::map<BindingId, std::string> binding_event_
       CQOS_GUARDED_BY(mu_);  // id -> event name
   BindingId next_binding_ CQOS_GUARDED_BY(mu_) = 1;

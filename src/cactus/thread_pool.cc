@@ -60,9 +60,10 @@ std::size_t PriorityThreadPool::queue_depth(std::size_t idx) const {
 SubmitResult PriorityThreadPool::try_submit(int priority,
                                             std::function<void()> task) {
   MutexLock lk(mu_);
-  if (shutdown_) return SubmitResult::kShutdown;
+  if (shutdown_.load(std::memory_order_relaxed)) return SubmitResult::kShutdown;
   if (classes_.empty()) {
     queue_.push(Item{priority, next_seq_++, std::move(task)});
+    queued_.fetch_add(1, std::memory_order_seq_cst);
     cv_.notify_one();
     return SubmitResult::kAccepted;
   }
@@ -74,30 +75,50 @@ SubmitResult PriorityThreadPool::try_submit(int priority,
     return SubmitResult::kRejected;
   }
   q.push_back(Item{priority, next_seq_++, std::move(task)});
+  queued_.fetch_add(1, std::memory_order_seq_cst);
   enqueued_[idx]->inc();
   cv_.notify_one();
   return SubmitResult::kAccepted;
 }
 
-bool PriorityThreadPool::enter_inline() {
-  MutexLock lk(mu_);
-  if (shutdown_ || running_ >= slots_ || !queues_empty()) return false;
-  ++running_;
+// The caller-runs path takes no lock: a slot is one CAS on running_, and
+// leaving takes mu_ only when tasks are queued. Why no queued task is
+// stranded (DESIGN.md §8): running_ and queued_ are seq_cst, and a worker
+// reads running_ after the submit that queued its task raised queued_. So
+// either the leaving caller sees queued_ != 0 and wakes a worker under mu_
+// (which the worker holds until it waits), or the worker sees the freed
+// slot.
+bool PriorityThreadPool::claim_slot() {
+  int r = running_.load(std::memory_order_seq_cst);
+  do {
+    if (r >= slots_) return false;
+  } while (!running_.compare_exchange_weak(r, r + 1,
+                                           std::memory_order_seq_cst));
   return true;
 }
 
+bool PriorityThreadPool::enter_inline() {
+  if (shutdown_.load(std::memory_order_acquire) ||
+      queued_.load(std::memory_order_seq_cst) != 0) {
+    return false;
+  }
+  return claim_slot();
+}
+
 void PriorityThreadPool::leave_inline() {
-  MutexLock lk(mu_);
-  --running_;
+  running_.fetch_sub(1, std::memory_order_seq_cst);
   // A worker that found the queue non-empty while every slot was held is
   // waiting for this one.
-  if (!queues_empty()) cv_.notify_one();
+  if (queued_.load(std::memory_order_seq_cst) != 0) {
+    MutexLock lk(mu_);
+    cv_.notify_one();
+  }
 }
 
 void PriorityThreadPool::shutdown() {
   {
     MutexLock lk(mu_);
-    shutdown_ = true;
+    shutdown_.store(true, std::memory_order_release);
     cv_.notify_all();
   }
   // One caller performs the join; concurrent callers block on join_mu_ until
@@ -155,13 +176,18 @@ void PriorityThreadPool::worker_loop() {
       MutexLock lk(mu_);
       // The finished task's slot is freed in the same lock hold that looks
       // for the next task.
-      if (ran) --running_;
+      if (ran) running_.fetch_sub(1, std::memory_order_seq_cst);
       for (;;) {
-        if (running_ < slots_ && pop_next(item)) break;
-        if (shutdown_ && queues_empty()) return;  // drained
+        if (!queues_empty() && claim_slot()) {
+          pop_next(item);
+          queued_.fetch_sub(1, std::memory_order_seq_cst);
+          break;
+        }
+        if (shutdown_.load(std::memory_order_relaxed) && queues_empty()) {
+          return;  // drained
+        }
         cv_.wait(mu_);
       }
-      ++running_;
     }
     ran = true;
     run_at(item.priority, item.task);

@@ -38,6 +38,7 @@
 // worker or an inline caller held its slot.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -157,9 +158,12 @@ class PriorityThreadPool {
   void start_workers(int num_threads);
   void worker_loop();
   /// Claim a slot for an inline run (false: the task would wait); the
-  /// matching leave_inline() frees it.
+  /// matching leave_inline() frees it. Neither takes mu_ unless tasks are
+  /// queued.
   bool enter_inline();
   void leave_inline();
+  /// One slot, if running_ is below slots_.
+  bool claim_slot();
   bool queues_empty() const CQOS_REQUIRES(mu_);
   bool pop_next(Item& out) CQOS_REQUIRES(mu_);
   void advance_wrr() CQOS_REQUIRES(mu_);
@@ -172,9 +176,14 @@ class PriorityThreadPool {
   std::size_t wrr_idx_ CQOS_GUARDED_BY(mu_) = 0;   // class being served
   int wrr_credit_ CQOS_GUARDED_BY(mu_) = 0;        // remaining weight share
   std::uint64_t next_seq_ CQOS_GUARDED_BY(mu_) = 0;
-  /// Tasks running now, on workers and inline.
-  int running_ CQOS_GUARDED_BY(mu_) = 0;
-  bool shutdown_ CQOS_GUARDED_BY(mu_) = false;
+  /// Tasks running now, on workers and inline: claimed by CAS (never past
+  /// slots_), with or without mu_.
+  std::atomic<int> running_{0};
+  /// Tasks queued in every class; changed under mu_, read without it by
+  /// the caller-runs path.
+  std::atomic<std::size_t> queued_{0};
+  /// Set under mu_.
+  std::atomic<bool> shutdown_{false};
 
   // Immutable after construction.
   int slots_ = 0;  // the concurrency bound: the number of workers

@@ -8,9 +8,11 @@
 // messages/bytes/drops per host pair, MicroBase times every bound handler,
 // and the bench binaries dump a snapshot next to their latency tables.
 //
-// Concurrency: Counter::inc and Histogram::record are wait-free (relaxed
-// atomics); only name->instrument resolution takes the registry mutex, so
-// hot paths resolve once and cache the reference. Instruments are owned by
+// Concurrency: Counter::inc and Histogram::record are wait-free relaxed
+// increments into the recording thread's stripe, so concurrent recorders
+// share no cache line; readers sum the stripes and totals stay exact. Only
+// name->instrument resolution takes the registry mutex, so hot paths
+// resolve once and cache the reference. Instruments are owned by
 // the registry and never move or die before it, so cached references stay
 // valid for the registry's lifetime.
 #pragma once
@@ -28,6 +30,19 @@
 
 namespace cqos::metrics {
 
+/// Stripe count of Counter and Histogram, and the calling thread's stripe.
+/// Threads are assigned stripes round-robin at first use; the assignment is
+/// per thread, not per instrument, which keeps the lookup a thread-local
+/// read.
+inline constexpr std::size_t kStripes = 8;
+
+inline std::size_t stripe_index() {
+  static std::atomic<std::size_t> next{0};
+  thread_local std::size_t idx =
+      next.fetch_add(1, std::memory_order_relaxed) % kStripes;
+  return idx;
+}
+
 /// Monotonic event counter. Relaxed increments: totals are exact, ordering
 /// against other memory is not implied (snapshot readers only need totals).
 ///
@@ -41,8 +56,6 @@ namespace cqos::metrics {
 /// unbounded populations.
 class Counter {
  public:
-  static constexpr std::size_t kStripes = 8;
-
   void inc(std::uint64_t n = 1) {
     stripes_[stripe_index()].v.fetch_add(n, std::memory_order_relaxed);
   }
@@ -62,16 +75,6 @@ class Counter {
     std::atomic<std::uint64_t> v{0};
   };
 
-  /// Threads are assigned stripes round-robin at first use; the assignment
-  /// is per-thread, not per-counter, which keeps the lookup a thread-local
-  /// read.
-  static std::size_t stripe_index() {
-    static std::atomic<std::size_t> next{0};
-    thread_local std::size_t idx =
-        next.fetch_add(1, std::memory_order_relaxed) % kStripes;
-    return idx;
-  }
-
   std::array<Stripe, kStripes> stripes_{};
 };
 
@@ -79,36 +82,42 @@ class Counter {
 /// powers of two from 1 us to ~8.4 s plus an overflow bucket, so two
 /// histograms recorded anywhere in the process merge bucket-by-bucket and
 /// snapshots are deterministic for a given sequence of observations.
+///
+/// Striped like Counter: each record's three increments land in the
+/// recording thread's stripe (its own cache lines), and the readers sum
+/// the stripes, so totals stay exact. A request makes about a dozen
+/// records (every timed handler, stub, skeleton and composite span), and
+/// on one shared set of lines those made concurrent callers wait on each
+/// other. Footprint: kStripes x 256 bytes per histogram.
 class Histogram {
  public:
   static constexpr int kBuckets = 24;  // bound[i] = 2^i us; last = overflow
 
   void record_us(double us) {
     if (us < 0) us = 0;
-    int b = bucket_for(us);
-    buckets_[static_cast<std::size_t>(b)].fetch_add(1,
-                                                    std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_ns_.fetch_add(static_cast<std::uint64_t>(us * 1e3),
-                      std::memory_order_relaxed);
+    Stripe& s = stripes_[stripe_index()];
+    s.buckets[static_cast<std::size_t>(bucket_for(us))].fetch_add(
+        1, std::memory_order_relaxed);
+    s.count.fetch_add(1, std::memory_order_relaxed);
+    s.sum_ns.fetch_add(static_cast<std::uint64_t>(us * 1e3),
+                       std::memory_order_relaxed);
   }
   void record(Duration d) { record_us(to_us(d)); }
 
+  /// Add `o`'s totals into this histogram (into the caller's stripe).
   void merge(const Histogram& o) {
+    Stripe& s = stripes_[stripe_index()];
     for (int i = 0; i <= kBuckets; ++i) {
-      auto idx = static_cast<std::size_t>(i);
-      buckets_[idx].fetch_add(o.buckets_[idx].load(std::memory_order_relaxed),
-                              std::memory_order_relaxed);
+      s.buckets[static_cast<std::size_t>(i)].fetch_add(
+          o.bucket(i), std::memory_order_relaxed);
     }
-    count_.fetch_add(o.count_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    sum_ns_.fetch_add(o.sum_ns_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
+    s.count.fetch_add(o.count(), std::memory_order_relaxed);
+    s.sum_ns.fetch_add(o.sum(&Stripe::sum_ns), std::memory_order_relaxed);
   }
 
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  std::uint64_t count() const { return sum(&Stripe::count); }
   double sum_us() const {
-    return static_cast<double>(sum_ns_.load(std::memory_order_relaxed)) / 1e3;
+    return static_cast<double>(sum(&Stripe::sum_ns)) / 1e3;
   }
   double mean_us() const {
     std::uint64_t n = count();
@@ -116,8 +125,12 @@ class Histogram {
   }
 
   std::uint64_t bucket(int i) const {
-    return buckets_[static_cast<std::size_t>(i)].load(
-        std::memory_order_relaxed);
+    std::uint64_t total = 0;
+    for (const Stripe& s : stripes_) {
+      total += s.buckets[static_cast<std::size_t>(i)].load(
+          std::memory_order_relaxed);
+    }
+    return total;
   }
 
   /// Upper bound of bucket i in microseconds (overflow bucket: +inf,
@@ -130,12 +143,20 @@ class Histogram {
   double percentile_us(double p) const;
 
   void reset() {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_ns_.store(0, std::memory_order_relaxed);
+    for (Stripe& s : stripes_) {
+      for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
+      s.count.store(0, std::memory_order_relaxed);
+      s.sum_ns.store(0, std::memory_order_relaxed);
+    }
   }
 
  private:
+  struct alignas(64) Stripe {
+    std::array<std::atomic<std::uint64_t>, kBuckets + 1> buckets{};
+    std::atomic<std::uint64_t> count{0};
+    std::atomic<std::uint64_t> sum_ns{0};
+  };
+
   static int bucket_for(double us) {
     for (int i = 0; i < kBuckets; ++i) {
       if (us <= bound_us(i)) return i;
@@ -143,9 +164,15 @@ class Histogram {
     return kBuckets;
   }
 
-  std::array<std::atomic<std::uint64_t>, kBuckets + 1> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_ns_{0};
+  std::uint64_t sum(std::atomic<std::uint64_t> Stripe::*field) const {
+    std::uint64_t total = 0;
+    for (const Stripe& s : stripes_) {
+      total += (s.*field).load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
+  std::array<Stripe, kStripes> stripes_{};
 };
 
 /// Named instrument registry. Names use a dotted scheme (see DESIGN.md §9):

@@ -22,10 +22,27 @@ std::string_view gate_phase_name(GatePhase p) {
 
 // --- QuiesceGate -------------------------------------------------------------
 
+// The live path is one atomic word: the in-flight count (in units of kOne)
+// and a not-live bit. enter() counts itself in with a CAS that fails once
+// the bit is set, and exit() takes mu_ only when it leaves the gate empty
+// while the bit is set. Every phase change happens under mu_ and sets or
+// clears the bit there; waits recheck the word under mu_. Why no wakeup is
+// lost (DESIGN.md §8): the bit and the count share one word, so an exit()
+// either decrements before begin_drain() sets the bit (the drain then
+// reads the lower count) or sees the bit and notifies under mu_, which it
+// cannot take until the drain is waiting.
+
 bool QuiesceGate::enter() {
+  std::int64_t w = word_.load(std::memory_order_acquire);
+  while ((w & kNotLive) == 0) {
+    if (word_.compare_exchange_weak(w, w + kOne, std::memory_order_acq_rel,
+                                    std::memory_order_acquire)) {
+      return true;
+    }
+  }
   MutexLock lk(mu_);
-  if (phase_ == GatePhase::kLive) {
-    ++inflight_;
+  if (phase_ == GatePhase::kLive) {  // resumed since the load above
+    word_.fetch_add(kOne, std::memory_order_acq_rel);
     return true;
   }
   if (phase_ == GatePhase::kClosed) return false;
@@ -41,7 +58,7 @@ bool QuiesceGate::enter() {
   bool admitted = false;
   while (true) {
     if (phase_ == GatePhase::kLive) {
-      ++inflight_;
+      word_.fetch_add(kOne, std::memory_order_acq_rel);
       ++released_;
       admitted = true;
       break;
@@ -59,11 +76,17 @@ bool QuiesceGate::enter() {
 }
 
 void QuiesceGate::exit() {
-  MutexLock lk(mu_);
-  if (--inflight_ == 0) cv_.notify_all();
+  std::int64_t prev = word_.fetch_sub(kOne, std::memory_order_acq_rel);
+  if (prev == kNotLive + kOne) {
+    // The last request left while the gate is not live: begin_drain() may
+    // be waiting for it.
+    MutexLock lk(mu_);
+    cv_.notify_all();
+  }
 }
 
 void QuiesceGate::control_checkpoint() {
+  if ((word_.load(std::memory_order_acquire) & kNotLive) == 0) return;
   MutexLock lk(mu_);
   // Bounded: the swapping window is local surgery with zero in-flight
   // requests, so this is milliseconds. The bound guards against a wedged
@@ -74,24 +97,33 @@ void QuiesceGate::control_checkpoint() {
   }
 }
 
+void QuiesceGate::set_phase_locked(GatePhase p) {
+  phase_ = p;
+  if (p == GatePhase::kLive) {
+    word_.fetch_and(~kNotLive, std::memory_order_acq_rel);
+  } else {
+    word_.fetch_or(kNotLive, std::memory_order_acq_rel);
+  }
+}
+
 bool QuiesceGate::begin_drain(const ReconfigOptions& opts) {
   MutexLock lk(mu_);
   if (phase_ != GatePhase::kLive) {
     throw Error(std::string("QuiesceGate: begin_drain in phase ") +
                 std::string(gate_phase_name(phase_)));
   }
-  phase_ = GatePhase::kDraining;
+  set_phase_locked(GatePhase::kDraining);
   parked_peak_ = 0;
   released_ = 0;
   max_parked_ = opts.max_parked;
   park_timeout_ = opts.park_timeout;
   TimePoint deadline = now() + opts.drain_timeout;
-  while (inflight_ > 0 && now() < deadline) {
+  while (inflight() > 0 && now() < deadline) {
     cv_.wait_until(mu_, deadline);
   }
-  if (inflight_ > 0) {
+  if (inflight() > 0) {
     // Abort: back to live, parked arrivals release onto the old stack.
-    phase_ = GatePhase::kLive;
+    set_phase_locked(GatePhase::kLive);
     cv_.notify_all();
     return false;
   }
@@ -100,22 +132,22 @@ bool QuiesceGate::begin_drain(const ReconfigOptions& opts) {
 
 void QuiesceGate::begin_swap() {
   MutexLock lk(mu_);
-  if (phase_ != GatePhase::kDraining || inflight_ != 0) {
+  if (phase_ != GatePhase::kDraining || inflight() != 0) {
     throw Error("QuiesceGate: begin_swap without a completed drain");
   }
-  phase_ = GatePhase::kSwapping;
+  set_phase_locked(GatePhase::kSwapping);
 }
 
 void QuiesceGate::resume() {
   MutexLock lk(mu_);
   if (phase_ == GatePhase::kClosed) return;
-  phase_ = GatePhase::kLive;
+  set_phase_locked(GatePhase::kLive);
   cv_.notify_all();
 }
 
 void QuiesceGate::close() {
   MutexLock lk(mu_);
-  phase_ = GatePhase::kClosed;
+  set_phase_locked(GatePhase::kClosed);
   cv_.notify_all();
 }
 
@@ -125,8 +157,7 @@ GatePhase QuiesceGate::phase() const {
 }
 
 int QuiesceGate::inflight() const {
-  MutexLock lk(mu_);
-  return inflight_;
+  return static_cast<int>(word_.load(std::memory_order_acquire) / kOne);
 }
 
 int QuiesceGate::parked_peak() const {

@@ -6,7 +6,8 @@
 //
 //   QuiesceGate — the admission gate a CactusClient/CactusServer wraps
 //     around its request entry points. In the live phase it only counts
-//     in-flight requests. A reconfiguration drives it through
+//     in-flight requests, in one atomic word and with no lock. A
+//     reconfiguration drives it through
 //         live → draining → swapping → live
 //     New arrivals during draining/swapping PARK (block, bounded queue +
 //     timeout) and release onto the new stack; in-flight requests drain to
@@ -28,6 +29,7 @@
 // QosEndpoint::Handle::reconfigure() in endpoint.h for the public API.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -121,10 +123,18 @@ class QuiesceGate {
   std::uint64_t released() const;
 
  private:
+  static constexpr std::int64_t kNotLive = 1;
+  static constexpr std::int64_t kOne = 2;
+
+  /// Changes the phase and the word's not-live bit together.
+  void set_phase_locked(GatePhase p) CQOS_REQUIRES(mu_);
+
+  /// In-flight requests times kOne, plus kNotLive unless the phase is
+  /// live: the whole of the live path (enter/exit take no lock).
+  std::atomic<std::int64_t> word_{0};
   mutable Mutex mu_;
   CondVar cv_;
   GatePhase phase_ CQOS_GUARDED_BY(mu_) = GatePhase::kLive;
-  int inflight_ CQOS_GUARDED_BY(mu_) = 0;
   int parked_ CQOS_GUARDED_BY(mu_) = 0;
   int parked_peak_ CQOS_GUARDED_BY(mu_) = 0;
   std::uint64_t released_ CQOS_GUARDED_BY(mu_) = 0;

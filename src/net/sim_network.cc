@@ -11,7 +11,13 @@ namespace cqos::net {
 // --- SimNetwork --------------------------------------------------------------
 // (Endpoint lives in net/transport.cc — it is shared with TcpTransport.)
 
-SimNetwork::SimNetwork(NetConfig cfg) : cfg_(cfg) {
+namespace {
+std::atomic<std::uint64_t> g_next_network_id{1};
+}  // namespace
+
+SimNetwork::SimNetwork(NetConfig cfg)
+    : cfg_(cfg),
+      id_(g_next_network_id.fetch_add(1, std::memory_order_relaxed)) {
   sent_msgs_counter_ = &registry().counter("net.sent.msgs");
   sent_bytes_counter_ = &registry().counter("net.sent.bytes");
   refused_counter_ = &registry().counter("net.vdeliver.refused");
@@ -40,6 +46,7 @@ std::shared_ptr<Endpoint> SimNetwork::create_endpoint(const std::string& id) {
   auto ep = std::make_shared<Endpoint>(id, host_of(id));
   if (faults_->is_crashed(ep->host())) ep->mark_crashed();
   endpoints_.emplace(id, ep);
+  generation_.fetch_add(1, std::memory_order_release);
   return ep;
 }
 
@@ -51,6 +58,7 @@ void SimNetwork::remove_endpoint(const std::string& id) {
     if (it == endpoints_.end()) return;
     ep = std::move(it->second);
     endpoints_.erase(it);
+    generation_.fetch_add(1, std::memory_order_release);
   }
   {
     // Prune the destination entry (clamp and pending deliveries): long-lived
@@ -111,21 +119,76 @@ SimNetwork::PairCounters& SimNetwork::pair_counters(
   return it->second;
 }
 
-void SimNetwork::count_send(const std::string& from_host,
-                            const std::string& to_host, std::size_t bytes) {
+SimNetwork::RouteLease::RouteLease(SimNetwork& net, const std::string& from,
+                                   const std::string& to) {
+  // Per sending thread: the few destinations it sends to. An entry is
+  // current while the network's generation has not moved since it was
+  // resolved; `pins` keeps an entry that a send is still using (a handler
+  // run inline may send again on this thread) from being replaced.
+  struct Cache {
+    std::array<Route, 16> routes;
+    std::size_t next_victim = 0;
+  };
+  thread_local Cache cache;
+  const std::uint64_t gen = net.generation_.load(std::memory_order_acquire);
+  Route* r = nullptr;
+  for (Route& e : cache.routes) {
+    if (e.network == net.id_ && e.generation == gen && e.to == to) {
+      r = &e;
+      break;
+    }
+  }
+  if (r == nullptr) {
+    r = &own_;
+    for (std::size_t i = 0; i < cache.routes.size(); ++i) {
+      Route& e = cache.routes[(cache.next_victim + i) % cache.routes.size()];
+      if (e.pins != 0) continue;
+      cache.next_victim = (cache.next_victim + i + 1) % cache.routes.size();
+      r = &e;
+      break;
+    }
+    r->network = net.id_;
+    r->to = to;
+    r->to_host = host_of(to);
+    r->from.clear();
+    {
+      MutexLock lk(net.mu_);
+      auto it = net.endpoints_.find(to);
+      r->dest = it == net.endpoints_.end() ? nullptr : it->second;
+      r->generation = net.generation_.load(std::memory_order_relaxed);
+    }
+  }
+  // The sender's host and the pair's counters are kept for the last
+  // sender seen. Rewriting them under a pinned entry is safe: a nested
+  // send runs inside the outer send's delivery, after its last use of
+  // them, and never touches `dest`.
+  if (r->from.empty() || r->from != from) {
+    r->from = from;
+    r->from_host = host_of(from);
+    r->pair = net.cfg_.pair_metrics
+                  ? &net.pair_counters(r->from_host, r->to_host)
+                  : nullptr;
+  }
+  if (r != &own_) ++r->pins;
+  route_ = r;
+}
+
+SimNetwork::RouteLease::~RouteLease() {
+  if (route_ != &own_) --route_->pins;
+}
+
+void SimNetwork::count_send(const Route& r, std::size_t bytes) {
   sent_msgs_counter_->inc();
   sent_bytes_counter_->inc(bytes);
-  if (cfg_.pair_metrics) {
-    PairCounters& pc = pair_counters(from_host, to_host);
-    pc.msgs->inc();
-    pc.bytes->inc(bytes);
+  if (r.pair != nullptr) {
+    r.pair->msgs->inc();
+    r.pair->bytes->inc(bytes);
   }
 }
 
-void SimNetwork::count_drop(const std::string& from_host,
-                            const std::string& to_host, const char* reason) {
+void SimNetwork::count_drop(const Route& r, const char* reason) {
   registry().counter(std::string("net.drop.") + reason).inc();
-  if (cfg_.pair_metrics) pair_counters(from_host, to_host).drops->inc();
+  if (r.pair != nullptr) r.pair->drops->inc();
 }
 
 Duration SimNetwork::compute_latency(const std::string& from,
@@ -155,17 +218,15 @@ Duration SimNetwork::compute_latency(const std::string& from,
 
 bool SimNetwork::send(const std::string& from, const std::string& to,
                       Bytes&& payload) {
-  std::string from_host = host_of(from);
-  std::string to_host = host_of(to);
-
-  std::shared_ptr<Endpoint> dest;
-  {
-    MutexLock lk(mu_);
-    auto it = endpoints_.find(to);
-    if (it != endpoints_.end()) dest = it->second;
-  }
+  // The cached route holds the destination, so it stays alive through the
+  // delivery below even if it is removed meanwhile.
+  RouteLease lease(*this, from, to);
+  const Route& route = lease.route();
+  const std::string& from_host = route.from_host;
+  const std::string& to_host = route.to_host;
+  const std::shared_ptr<Endpoint>& dest = route.dest;
   if (!dest) {
-    count_drop(from_host, to_host, "unknown_dest");
+    count_drop(route, "unknown_dest");
     return false;
   }
 
@@ -174,7 +235,7 @@ bool SimNetwork::send(const std::string& from, const std::string& to,
   if (verdict.drop) {
     CQOS_LOG_DEBUG("net: dropped message ", from, " -> ", to, " (",
                    verdict.drop_reason, ")");
-    count_drop(from_host, to_host, verdict.drop_reason);
+    count_drop(route, verdict.drop_reason);
     return false;
   }
 
@@ -255,7 +316,7 @@ bool SimNetwork::send(const std::string& from, const std::string& to,
     shard.bytes += msg_bytes;
   }
 
-  count_send(from_host, to_host, msg_bytes);
+  count_send(route, msg_bytes);
 
   if (tapping) {
     {

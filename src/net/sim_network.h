@@ -20,9 +20,11 @@
 // deadlines first, insertion), holds what the loop does next: a wake-up per
 // destination at its pending head, timers scheduled via schedule_at, and
 // the FaultController's next deadline (plan event or reorder-hold sweep).
-// The send path is lock-sharded (endpoint map, per-sender jitter streams,
-// per-destination shards, cached per-pair metric handles), so concurrent
-// senders do not convoy on one mutex. The clock decides only who pops the
+// The send path takes one lock, the destination's shard: the endpoint
+// lookup and the per-pair metric handles come from a route cached per
+// sending thread (invalidated by endpoint create and remove), and jitter
+// streams are sharded per sender, so concurrent senders do not convoy on
+// one mutex. The clock decides only who pops the
 // heap and what "now" is:
 //
 //   kReal    (default) the wall clock. One network-owned delivery thread
@@ -218,6 +220,37 @@ class SimNetwork : public Transport {
     Mutex mu;
     std::map<std::string, PairCounters> pairs CQOS_GUARDED_BY(mu);
   };
+  /// What send() needs to know about one destination: the endpoint
+  /// (null: unknown) and its host, plus the host and the pair's metric
+  /// handles of the last sender that used the entry. Cached per sending
+  /// thread, so a send takes neither mu_ nor a pair shard lock and writes
+  /// no reference count. An entry is valid while `generation` matches the
+  /// network's (DESIGN.md §14).
+  struct Route {
+    std::uint64_t network = 0;  // id_ of the network that resolved it
+    std::uint64_t generation = 0;
+    std::string to, to_host;
+    std::shared_ptr<Endpoint> dest;
+    std::string from, from_host;
+    PairCounters* pair = nullptr;  // null without pair metrics
+    int pins = 0;  // sends on this thread still using the entry
+  };
+  /// The calling thread's current route to `to`, filled in for `from` and
+  /// pinned for one send: resolved under mu_ on a miss, and never replaced
+  /// while pinned (a handler run inline may send again on this thread).
+  class RouteLease {
+   public:
+    RouteLease(SimNetwork& net, const std::string& from,
+               const std::string& to);
+    ~RouteLease();
+    RouteLease(const RouteLease&) = delete;
+    RouteLease& operator=(const RouteLease&) = delete;
+    const Route& route() const { return *route_; }
+
+   private:
+    Route* route_ = nullptr;
+    Route own_;  // used when every cached entry is pinned
+  };
 
   /// One heap entry: the FaultController's next deadline, a destination's
   /// pending head (`to`), or a timer (`fn`). Ordered by (at, fault first,
@@ -292,10 +325,8 @@ class SimNetwork : public Transport {
   /// net.sent.{msgs,bytes}, net.drop.<reason>, and the per-host-pair
   /// variants net.pair.<from>:<to>.{msgs,bytes,drops}. Lock-cheap: handles
   /// resolved once per host pair, counters are wait-free.
-  void count_send(const std::string& from_host, const std::string& to_host,
-                  std::size_t bytes);
-  void count_drop(const std::string& from_host, const std::string& to_host,
-                  const char* reason);
+  void count_send(const Route& r, std::size_t bytes);
+  void count_drop(const Route& r, const char* reason);
   PairCounters& pair_counters(const std::string& from_host,
                               const std::string& to_host);
   metrics::Registry& registry() const {
@@ -313,19 +344,26 @@ class SimNetwork : public Transport {
     return std::hash<std::string>{}(key) % kShards;
   }
 
-  // Lock hierarchy (DESIGN.md §8/§14): mu_ (endpoint map) > jitter shard >
+  // Lock hierarchy (DESIGN.md §8/§14): mu_ (endpoint map; a send takes it
+  // only on a route-cache miss, and holds nothing else) > jitter shard >
   // clamp shard > FaultController::mu_ > tap_mu_ > Endpoint::mu_. No two
   // shard locks are ever held together; judge() takes the controller lock
   // with nothing else held, hold()/on_send() are called under the
   // destination's clamp shard (keeping per-destination release bookkeeping
-  // atomic with clamp/seq assignment); deliveries take only Endpoint::mu_,
-  // and run handlers with no network lock held. The metrics registry mutex
+  // atomic with clamp/seq assignment); a delivery to a handler takes no
+  // lock (an inbox delivery takes Endpoint::mu_), and handlers run with no
+  // network lock held. The metrics registry mutex
   // is a leaf of pair_counters() misses. The heap lock wmu_ is a leaf (push
   // and pop only, never held while an entry runs).
   mutable Mutex mu_;
   const NetConfig cfg_;
+  /// Unique per network in the process (the route caches outlive it).
+  const std::uint64_t id_;
   std::map<std::string, std::shared_ptr<Endpoint>> endpoints_
       CQOS_GUARDED_BY(mu_);
+  /// Bumped under mu_ by every endpoint create and remove: invalidates
+  /// every cached Route.
+  std::atomic<std::uint64_t> generation_{0};
   std::atomic<std::uint64_t> next_seq_{1};
   std::array<ClampShard, kShards> clamp_shards_;
   std::array<JitterShard, kShards> jitter_shards_;

@@ -86,9 +86,9 @@ TcpTransport::~TcpTransport() {
   // tearing down connection records and fds below is race-free.
   loop_.stop();
   ::close(listen_fd_);
-  {
-    MutexLock self_lk(self_mu_);
-    close_self_locked();
+  for (SelfPair& pair : self_pairs_) {
+    MutexLock self_lk(pair.mu);
+    close_self_locked(pair);
   }
   MutexLock lk(mu_);
   auto close_all = [](const ConnPtr& c) {
@@ -122,9 +122,9 @@ void TcpTransport::remove_endpoint(const std::string& id) {
 
 std::size_t TcpTransport::open_connections() const {
   std::size_t n = 0;
-  {
-    MutexLock self_lk(self_mu_);
-    if (self_out_ >= 0) n = 2;
+  for (const SelfPair& pair : self_pairs_) {
+    MutexLock self_lk(pair.mu);
+    if (pair.out >= 0) n += 2;
   }
   MutexLock lk(mu_);
   for (const auto& [addr, c] : out_conns_) {
@@ -174,8 +174,22 @@ bool TcpTransport::send(const std::string& from, const std::string& to,
 }
 
 std::optional<Frame> TcpTransport::self_roundtrip(const Bytes& frame) {
-  MutexLock lk(self_mu_);
-  if (self_out_ < 0 && !open_self_locked()) return std::nullopt;
+  // The first free pair: concurrent senders each get one, and wait only
+  // when every pair is busy.
+  for (SelfPair& pair : self_pairs_) {
+    if (pair.mu.try_lock()) {
+      std::optional<Frame> f = self_roundtrip_locked(pair, frame);
+      pair.mu.unlock();
+      return f;
+    }
+  }
+  MutexLock lk(self_pairs_[0].mu);
+  return self_roundtrip_locked(self_pairs_[0], frame);
+}
+
+std::optional<Frame> TcpTransport::self_roundtrip_locked(SelfPair& pair,
+                                                         const Bytes& frame) {
+  if (pair.out < 0 && !open_self_locked(pair)) return std::nullopt;
   // Writes and reads interleave, so a frame larger than the socket buffers
   // completes too; poll() waits when the kernel has not moved bytes yet.
   std::uint8_t buf[16 * 1024];
@@ -183,25 +197,25 @@ std::optional<Frame> TcpTransport::self_roundtrip(const Bytes& frame) {
   for (std::size_t off = 0; why == nullptr;) {
     ssize_t n = off == frame.size()
                     ? 0
-                    : ::send(self_out_, frame.data() + off, frame.size() - off,
+                    : ::send(pair.out, frame.data() + off, frame.size() - off,
                              MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n < 0 && errno != EAGAIN && errno != EINTR) {
       why = std::strerror(errno);
       break;
     }
     off += n > 0 ? static_cast<std::size_t>(n) : 0;
-    n = ::read(self_in_, buf, sizeof(buf));
-    if (n > 0 && !self_decoder_->feed({buf, static_cast<std::size_t>(n)})) {
+    n = ::read(pair.in, buf, sizeof(buf));
+    if (n > 0 && !pair.decoder->feed({buf, static_cast<std::size_t>(n)})) {
       why = "malformed frame";
-    } else if (auto f = self_decoder_->next()) {
+    } else if (auto f = pair.decoder->next()) {
       return f;
     } else if (n == 0) {
       why = "connection closed";
     } else if (n < 0 && errno != EAGAIN && errno != EINTR) {
       why = std::strerror(errno);
     } else if (n < 0) {
-      pollfd p[2] = {{self_in_, POLLIN, 0},
-                     {self_out_, off < frame.size() ? POLLOUT : 0, 0}};
+      const short want_out = off < frame.size() ? POLLOUT : 0;
+      pollfd p[2] = {{pair.in, POLLIN, 0}, {pair.out, want_out, 0}};
       if (::poll(p, 2, 5000) == 0) why = "no progress for 5 s";
     }
   }
@@ -209,11 +223,11 @@ std::optional<Frame> TcpTransport::self_roundtrip(const Bytes& frame) {
   // drop the frame, as a connection error does; the next local send reopens.
   CQOS_LOG_WARN("tcp self pair: ", why, "; frame dropped");
   count_drop("conn_error");
-  close_self_locked();
+  close_self_locked(pair);
   return std::nullopt;
 }
 
-bool TcpTransport::open_self_locked() {
+bool TcpTransport::open_self_locked(SelfPair& pair) {
   // Through a private loopback listener the loop thread never sees. The
   // accepted end must be our own connect, not a stranger that came first.
   sockaddr_in sa = parse_addr("127.0.0.1:1");
@@ -222,15 +236,15 @@ bool TcpTransport::open_self_locked() {
   socklen_t len = sizeof(sa);
   auto* addr = reinterpret_cast<sockaddr*>(&sa);
   int lfd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  self_out_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (lfd >= 0 && self_out_ >= 0 && ::bind(lfd, addr, len) == 0 &&
+  pair.out = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (lfd >= 0 && pair.out >= 0 && ::bind(lfd, addr, len) == 0 &&
       ::listen(lfd, 1) == 0 && ::getsockname(lfd, addr, &len) == 0 &&
-      ::connect(self_out_, addr, len) == 0 &&
-      ::getsockname(self_out_, reinterpret_cast<sockaddr*>(&out), &len) == 0) {
-    self_in_ = ::accept4(lfd, reinterpret_cast<sockaddr*>(&peer), &len,
+      ::connect(pair.out, addr, len) == 0 &&
+      ::getsockname(pair.out, reinterpret_cast<sockaddr*>(&out), &len) == 0) {
+    pair.in = ::accept4(lfd, reinterpret_cast<sockaddr*>(&peer), &len,
                          SOCK_NONBLOCK | SOCK_CLOEXEC);
   }
-  const char* why = self_in_ < 0 ? std::strerror(errno) : nullptr;
+  const char* why = pair.in < 0 ? std::strerror(errno) : nullptr;
   if (lfd >= 0) ::close(lfd);
   if (why == nullptr && (peer.sin_port != out.sin_port ||
                          peer.sin_addr.s_addr != out.sin_addr.s_addr)) {
@@ -239,19 +253,19 @@ bool TcpTransport::open_self_locked() {
   if (why != nullptr) {
     CQOS_LOG_WARN("tcp self pair: ", why);
     count_drop("connect");
-    close_self_locked();
+    close_self_locked(pair);
     return false;
   }
   int one = 1;
-  for (int fd : {self_in_, self_out_}) {
+  for (int fd : {pair.in, pair.out}) {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   }
-  self_decoder_.emplace(cfg_.max_frame_bytes);
+  pair.decoder.emplace(cfg_.max_frame_bytes);
   return true;
 }
 
-void TcpTransport::close_self_locked() {
-  for (int* fd : {&self_out_, &self_in_}) {
+void TcpTransport::close_self_locked(SelfPair& pair) {
+  for (int* fd : {&pair.out, &pair.in}) {
     if (*fd >= 0) ::close(*fd);
     *fd = -1;
   }

@@ -25,20 +25,22 @@
 //                frame), or connect failure/timeout.
 //
 // Routing: a frame for endpoint "host/svc" goes to (1) a local endpoint over
-// the self pair, a loopback connection the loop thread never touches: the
-// sending thread writes the frame, reads it back and delivers it itself
-// (DESIGN.md §15); (2) the connection a frame from that host last arrived
-// on (learned route: how replies reach clients on ephemeral ports); (3) a
-// connection to the address in the static peers map. No route drops the
-// send, like an unknown destination on the simulator.
+// a self pair, a loopback connection the loop thread never touches: the
+// sending thread takes a free pair, writes the frame, reads it back and
+// delivers it itself (DESIGN.md §15); (2) the connection a frame from that
+// host last arrived on (learned route: how replies reach clients on
+// ephemeral ports); (3) a connection to the address in the static peers
+// map. No route drops the send, like an unknown destination on the
+// simulator.
 //
 // Locks (extends DESIGN.md §8): TcpTransport::mu_ > EventLoop::mu_ (post
-// while routing); self_mu_ is taken alone. Endpoint::mu_ is never taken
-// under either: decoded frames are delivered after both are released.
+// while routing); a self pair's lock is taken alone. Endpoint::mu_ is never
+// taken under either: decoded frames are delivered after both are released.
 // Connection records are only mutated under mu_; epoll registration calls
 // are confined to the loop thread.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -148,11 +150,28 @@ class TcpTransport : public Transport {
   void route_frame_locked(const ConnPtr& c, Frame&& f,
                           std::vector<Delivery>* due) CQOS_REQUIRES(mu_);
 
-  /// Write `frame` to the self pair (opening it first if needed) and read
-  /// it back; nullopt, with the drop counted, if that failed.
-  std::optional<Frame> self_roundtrip(const Bytes& frame);
-  bool open_self_locked() CQOS_REQUIRES(self_mu_);
-  void close_self_locked() CQOS_REQUIRES(self_mu_);
+  /// One loopback connection: the connecting end is written, the accepted
+  /// end read back. Its lock serialises each write with its read-back, so
+  /// the accepted end only ever holds the writer's own bytes; it is never
+  /// held with mu_ or while a handler runs.
+  struct SelfPair {
+    mutable Mutex mu;
+    int out CQOS_GUARDED_BY(mu) = -1;
+    int in CQOS_GUARDED_BY(mu) = -1;
+    std::optional<FrameDecoder> decoder CQOS_GUARDED_BY(mu);
+  };
+  /// Pairs open lazily, one per concurrent local sender up to this many.
+  static constexpr std::size_t kSelfPairs = 4;
+
+  /// Write `frame` to a free self pair (opening it first if needed) and
+  /// read it back; nullopt, with the drop counted, if that failed.
+  std::optional<Frame> self_roundtrip(const Bytes& frame)
+      CQOS_NO_THREAD_SAFETY_ANALYSIS;
+  std::optional<Frame> self_roundtrip_locked(SelfPair& pair,
+                                             const Bytes& frame)
+      CQOS_REQUIRES(pair.mu);
+  bool open_self_locked(SelfPair& pair) CQOS_REQUIRES(pair.mu);
+  void close_self_locked(SelfPair& pair) CQOS_REQUIRES(pair.mu);
 
   void count_drop(const char* reason);
   metrics::Registry& registry() const {
@@ -174,13 +193,9 @@ class TcpTransport : public Transport {
   /// Learned return routes: host -> connection its frames arrive on.
   std::map<std::string, ConnPtr> learned_ CQOS_GUARDED_BY(mu_);
 
-  /// Serialises each self-pair write with its read-back, so the accepted
-  /// end only ever holds the writer's own bytes. Never held with mu_ or
-  /// while a handler runs.
-  mutable Mutex self_mu_;
-  int self_out_ CQOS_GUARDED_BY(self_mu_) = -1;  // connecting end: written
-  int self_in_ CQOS_GUARDED_BY(self_mu_) = -1;   // accepted end: read back
-  std::optional<FrameDecoder> self_decoder_ CQOS_GUARDED_BY(self_mu_);
+  /// Taken by try_lock in order, so concurrent local sends use separate
+  /// pairs instead of sleeping on one lock.
+  std::array<SelfPair, kSelfPairs> self_pairs_;
 
   std::atomic<std::uint64_t> next_seq_{1};
   std::atomic<std::uint64_t> msgs_{0};

@@ -22,6 +22,7 @@
 // simulator and connection routing on TCP.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -109,26 +110,37 @@ class Endpoint {
   friend class SimNetwork;
   friend class TcpTransport;
 
-  /// Deliver a due message: crash/close check, then the handler (outside
-  /// the endpoint lock) or the inbox. Returns false, recycling the payload,
-  /// when the message was refused.
+  /// Deliver a due message: crash/close check, then the handler (with no
+  /// lock) or the inbox. Returns false when the message was refused. The
+  /// caller holds a reference to the endpoint until this returns.
   bool deliver_now(Message msg);
   /// Crash transitions: mark_crashed() also drops inbox messages.
   void mark_crashed();
   void mark_recovered();
 
+  static constexpr std::uint32_t kClosed = 1;
+  static constexpr std::uint32_t kCrashed = 2;
+  static constexpr std::uint32_t kHasHandler = 4;
+  static constexpr std::uint32_t kCall = 8;  // one handler call in flight
+
   const std::string id_;
   const std::string host_;
+  /// kClosed | kCrashed | kHasHandler, plus the handler calls in flight in
+  /// units of kCall. A delivery to a handler touches only this word: it
+  /// counts itself in with a CAS that fails once kClosed or kCrashed is
+  /// set, and close() waits for the count to reach zero.
+  std::atomic<std::uint32_t> state_{0};
+  /// Guards the inbox and the waits; a delivery to a handler never takes it
+  /// unless close() is waiting for that delivery.
   mutable Mutex mu_;
   CondVar cv_;
   /// Created on first use: endpoints with a handler never park a message,
   /// and an empty std::deque already allocates.
   std::unique_ptr<std::deque<Message>> inbox_ CQOS_GUARDED_BY(mu_);
-  Handler handler_ CQOS_GUARDED_BY(mu_);
-  /// Handler calls in flight; close() waits for zero.
-  int active_ CQOS_GUARDED_BY(mu_) = 0;
-  bool closed_ CQOS_GUARDED_BY(mu_) = false;
-  bool crashed_ CQOS_GUARDED_BY(mu_) = false;
+  /// Written under mu_ before kHasHandler is published (set_handler) and
+  /// after the last call has left (close()); read by deliveries counted in
+  /// state_ with no lock.
+  Handler handler_;
 };
 
 /// The abstract transport. Everything the platforms and naming services

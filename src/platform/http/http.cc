@@ -83,7 +83,13 @@ class HttpCodec : public plat::Codec {
       if (colon == std::string_view::npos) {
         throw DecodeError("http: malformed header line");
       }
-      headers.emplace(line.substr(0, colon), line.substr(colon + 2));
+      // A repeated key is ambiguous (which Content-Length frames the
+      // body?), so it is rejected, as the JRMP and CDR maps do.
+      if (!headers.emplace(line.substr(0, colon), line.substr(colon + 2))
+               .second) {
+        throw DecodeError("http: duplicate header " +
+                          std::string(line.substr(0, colon)));
+      }
       pos = eol + 2;
     }
 

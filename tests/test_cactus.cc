@@ -101,6 +101,84 @@ TEST(Composite, UnbindRemovesHandler) {
   EXPECT_EQ(proto.binding_count("ev"), 0u);
 }
 
+// An activation runs on the event table it started with: a handler that
+// unbinds a later handler, or binds a new one, changes the next activation
+// only.
+TEST(Composite, ActivationFinishesOnItsSnapshot) {
+  CompositeProtocol proto;
+  std::vector<std::string> ran;
+  BindingId second = 0;
+  bool edited = false;
+  proto.bind("ev", "first", [&](EventContext& ctx) {
+    ran.push_back("first");
+    if (edited) return;
+    edited = true;
+    ctx.protocol().unbind(second);
+    ctx.protocol().bind(
+        "ev", "third", [&](EventContext&) { ran.push_back("third"); },
+        kOrderLast);
+  }, kOrderFirst);
+  second = proto.bind("ev", "second",
+                      [&](EventContext&) { ran.push_back("second"); });
+  proto.raise("ev");
+  EXPECT_EQ(ran, (std::vector<std::string>{"first", "second"}));
+  ran.clear();
+  proto.raise("ev");
+  EXPECT_EQ(ran, (std::vector<std::string>{"first", "third"}));
+}
+
+// Activations on several threads race bind/unbind on another: once
+// unbind() has returned, no activation that starts afterwards runs the
+// unbound handler, and one bound before an activation starts runs in it.
+TEST(Composite, UnbindDuringConcurrentActivationsIsFinal) {
+  CompositeProtocol proto;
+  constexpr int kRaisers = 4, kRounds = 200;
+  std::atomic<int> round{0};  // bumped once a round's unbind has returned
+  std::atomic<bool> done{false};
+  std::atomic<int> stale{0};
+  std::atomic<int> missed{0};
+  std::atomic<long> activations{0};
+  // The handler carries the round it was bound in; an activation passes the
+  // round that had finished before it started.
+  auto bind_round = [&](int r) {
+    return proto.bind("ev", "h", [&](EventContext& ctx) {
+      if (ctx.static_arg<int>() < ctx.dyn<int>()) stale.fetch_add(1);
+    }, kOrderDefault, r);
+  };
+  proto.bind("ev", "counter", [&](EventContext& ctx) {
+    (void)ctx;
+    activations.fetch_add(1);
+  }, kOrderLast);
+  std::vector<std::thread> raisers;
+  for (int t = 0; t < kRaisers; ++t) {
+    raisers.emplace_back([&] {
+      while (!done.load()) {
+        int finished = round.load();
+        proto.raise("ev", finished);
+      }
+    });
+  }
+  for (int r = 0; r < kRounds; ++r) {
+    BindingId id = bind_round(r);
+    // Bound before this activation starts: it must run here.
+    int seen = 0;
+    BindingId probe = proto.bind("probe", "p", [&](EventContext&) { ++seen; });
+    proto.raise("probe");
+    if (seen != 1) missed.fetch_add(1);
+    proto.unbind(probe);
+    std::this_thread::yield();
+    EXPECT_TRUE(proto.unbind(id));
+    round.store(r + 1);
+  }
+  done.store(true);
+  for (auto& t : raisers) t.join();
+  EXPECT_EQ(stale.load(), 0);
+  EXPECT_EQ(missed.load(), 0);
+  EXPECT_GT(activations.load(), 0);
+  EXPECT_EQ(proto.binding_count("ev"), 1u);
+  EXPECT_EQ(proto.binding_count("probe"), 0u);
+}
+
 TEST(Composite, RaiseWithNoHandlersIsNoop) {
   CompositeProtocol proto;
   proto.raise("nobody-home", 1);
@@ -355,6 +433,68 @@ TEST(PriorityPool, InlineAndPooledRunsShareTheConcurrencyBound) {
   pool.shutdown();
   EXPECT_EQ(ran.load(), kThreads * kPerThread);
   EXPECT_EQ(inline_runs.load(), kThreads / 2 * kPerThread);
+  EXPECT_LE(peak.load(), kSlots);
+}
+
+// Inline runs and submits race on a 2-slot pool, in short rounds with no
+// shutdown to flush the queue. In each round two callers try to run a long
+// task inline while two others submit short ones once something runs: a
+// worker woken by a submit often finds both slots held inline and waits.
+// The bound holds, and every round's tasks all run, because leaving an
+// inline run wakes a worker when tasks are queued (a stranded task keeps
+// `ran` short until the round's deadline).
+TEST(PriorityPool, InlineRunsRacingSubmitsStrandNoTask) {
+  constexpr int kSlots = 2;
+  constexpr int kRounds = 200;
+  PriorityThreadPool pool(kSlots, "inline-race");
+  std::atomic<int> active{0};
+  std::atomic<int> peak{0};
+  std::atomic<int> ran{0};
+  std::atomic<int> inline_runs{0};
+  auto run_for = [&](Duration d) {
+    int now_active = active.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now_active > seen && !peak.compare_exchange_weak(seen, now_active)) {
+    }
+    TimePoint until = now() + d;
+    while (now() < until) {
+    }
+    active.fetch_sub(1);
+    ran.fetch_add(1);
+  };
+  auto long_task = [&] { run_for(us(300)); };
+  auto short_task = [&] { run_for(us(1)); };
+  int expected = 0;
+  int stranded_rounds = 0;
+  for (int round = 0; round < kRounds && stranded_rounds == 0; ++round) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&] {
+        if (pool.try_run_inline(kNormalPriority, long_task)) {
+          inline_runs.fetch_add(1);
+        } else {
+          EXPECT_EQ(pool.try_submit(kNormalPriority, long_task),
+                    SubmitResult::kAccepted);
+        }
+      });
+      threads.emplace_back([&] {
+        TimePoint give_up = now() + ms(5);
+        while (active.load() == 0 && now() < give_up) {
+        }
+        EXPECT_EQ(pool.try_submit(kNormalPriority, short_task),
+                  SubmitResult::kAccepted);
+      });
+    }
+    for (auto& th : threads) th.join();
+    expected += 4;
+    TimePoint deadline = now() + ms(2000);
+    while (ran.load() < expected && now() < deadline) {
+      std::this_thread::sleep_for(us(100));
+    }
+    if (ran.load() < expected) ++stranded_rounds;
+  }
+  EXPECT_EQ(stranded_rounds, 0);
+  EXPECT_GT(inline_runs.load(), 0);
   EXPECT_LE(peak.load(), kSlots);
 }
 

@@ -113,6 +113,26 @@ TEST(HttpWire, HexRoundtrip) {
   EXPECT_THROW(codec.decode(with_piggyback("zz")), DecodeError);
 }
 
+// A header key given twice is ambiguous, so the frame is rejected instead
+// of keeping the first value: a second X-Call-Id, or a second
+// Content-Length that would frame a different body.
+TEST(HttpWire, DuplicateHeaderRejected) {
+  auto ping = [](const std::string& extra) {
+    std::string text = "PING / CQOS/1.0\r\nX-Call-Id: 1\r\nX-Reply-To: a\r\n"
+                       "Content-Length: 0\r\n" +
+                       extra + "\r\n";
+    return Bytes(text.begin(), text.end());
+  };
+  const plat::Codec& codec = http::http_codec();
+  EXPECT_EQ(codec.decode(ping("")).id, 1u);
+  EXPECT_THROW(codec.decode(ping("X-Call-Id: 2\r\n")), DecodeError);
+  Bytes two_lengths = ping("Content-Length: 5\r\n");
+  for (char c : std::string("hello")) {
+    two_lengths.push_back(static_cast<std::uint8_t>(c));
+  }
+  EXPECT_THROW(codec.decode(two_lengths), DecodeError);
+}
+
 // --- platform behaviour -----------------------------------------------------------
 
 TEST(HttpPlatform, UrlNamingConvention) {

@@ -2,6 +2,7 @@
 // and the span tracer underpinning request-path observability.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -91,6 +92,40 @@ TEST(Histogram, ConcurrentRecordsKeepExactCount) {
   EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kEach);
 }
 
+// Records land in the recording thread's stripe; every reader sums the
+// stripes. 8 threads start together and each records its own value (its
+// own bucket), so a lost or misread stripe shows as a wrong count, bucket
+// or sum.
+TEST(Histogram, ConcurrentRecordsKeepExactTotals) {
+  Histogram h;
+  constexpr int kThreads = 8, kEach = 20000;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&h, &ready, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      // 2^t us lands in bucket t.
+      for (int i = 0; i < kEach; ++i) h.record_us(double(1 << t));
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(h.count(), std::uint64_t{kThreads} * kEach);
+  double sum = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(h.bucket(t), std::uint64_t{kEach}) << "bucket " << t;
+    sum += double(1 << t) * kEach;
+  }
+  EXPECT_DOUBLE_EQ(h.sum_us(), sum);
+  Histogram merged;
+  merged.merge(h);
+  EXPECT_EQ(merged.count(), h.count());
+  EXPECT_EQ(merged.bucket(kThreads - 1), std::uint64_t{kEach});
+  h.reset();
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.bucket(0), 0u);
+}
+
 TEST(Registry, ReturnsStableReferences) {
   Registry reg;
   Counter& c1 = reg.counter("a.b");
@@ -141,6 +176,44 @@ TEST(Tracer, RingBufferIsBounded) {
   EXPECT_EQ(tracer.size(), 4u);
   EXPECT_TRUE(tracer.spans_for(1).empty());    // evicted
   EXPECT_EQ(tracer.spans_for(10).size(), 1u);  // newest kept
+}
+
+// Each thread records into its own buffer; spans_for merges them in end
+// order, the capacity bounds the total across threads and size() is exact.
+TEST(Tracer, PerThreadBuffersMergeAndStayBounded) {
+  trace::Tracer tracer;
+  constexpr int kThreads = 4, kEach = 500;
+  tracer.set_capacity(kThreads * kEach);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&tracer, t] {
+      for (int i = 0; i < kEach; ++i) {
+        tracer.record(trace::Span{std::uint64_t(1 + i % 2), "s",
+                                  std::to_string(t), now(), us(1)});
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(tracer.size(), std::size_t{kThreads} * kEach);
+  std::vector<trace::Span> odd = tracer.spans_for(1);
+  ASSERT_EQ(odd.size(), std::size_t{kThreads} * kEach / 2);
+  for (std::size_t i = 1; i < odd.size(); ++i) {
+    EXPECT_LE(odd[i - 1].start + odd[i - 1].elapsed,
+              odd[i].start + odd[i].elapsed);
+  }
+  // Past the cap, each recorder drops its own oldest span.
+  std::thread extra([&tracer] {
+    for (int i = 0; i < 100; ++i) {
+      tracer.record(trace::Span{3, "s", "", now(), us(1)});
+    }
+  });
+  extra.join();
+  EXPECT_EQ(tracer.size(), std::size_t{kThreads} * kEach);
+  tracer.set_capacity(10);
+  EXPECT_EQ(tracer.size(), 10u);
+  tracer.clear();
+  EXPECT_EQ(tracer.size(), 0u);
+  EXPECT_TRUE(tracer.spans_for(1).empty());
 }
 
 TEST(Tracer, UntracedAndDisabledSpansAreSkipped) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -611,6 +612,79 @@ TEST(PushDelivery, CrashedHostHandlerNeverCalled) {
   b->close();
   EXPECT_EQ(calls.load(), 1);
   (void)a;
+}
+
+// Senders deliver inline (no endpoint lock) while the endpoint closes:
+// once close() has returned, no handler call is running or starts.
+TEST(PushDelivery, CloseRacingInlineDeliveriesWaitsForEveryCall) {
+  for (int round = 0; round < 20; ++round) {
+    SimNetwork net(zero_latency_config());
+    auto b = net.create_endpoint("hostB/y");
+    std::atomic<bool> close_returned{false};
+    std::atomic<int> late{0};
+    std::atomic<int> calls{0};
+    b->set_handler([&](Message&&) {
+      if (close_returned.load()) late.fetch_add(1);
+      calls.fetch_add(1);
+      TimePoint until = now() + us(20);
+      while (now() < until) {
+      }
+      if (close_returned.load()) late.fetch_add(1);
+    });
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> senders;
+    for (int t = 0; t < 3; ++t) {
+      senders.emplace_back([&, t] {
+        std::string from = "hostA/s" + std::to_string(t);
+        while (!stop.load()) net.send(from, "hostB/y", Bytes{1});
+      });
+    }
+    while (calls.load() < 50) std::this_thread::yield();
+    b->close();
+    close_returned.store(true);
+    std::this_thread::sleep_for(ms(2));
+    stop.store(true);
+    for (auto& th : senders) th.join();
+    EXPECT_EQ(late.load(), 0) << "round " << round;
+    EXPECT_TRUE(b->closed());
+  }
+}
+
+// A send resolves its route from a per-thread cache; creating or removing
+// an endpoint invalidates it. A send after remove_endpoint() counts as
+// unknown_dest, and a send after the id is re-created reaches the new one.
+TEST(PushDelivery, CachedRouteFollowsRemoveAndReplace) {
+  metrics::Registry reg;
+  NetConfig cfg = zero_latency_config();
+  cfg.metrics = &reg;
+  SimNetwork net(cfg);
+  std::atomic<int> old_calls{0};
+  std::atomic<int> new_calls{0};
+  auto old_ep = net.create_endpoint("hostB/y");
+  old_ep->set_handler([&](Message&&) { old_calls.fetch_add(1); });
+  ASSERT_TRUE(net.send("hostA/x", "hostB/y", Bytes{1}));  // route cached
+  ASSERT_TRUE(net.send("hostA/x", "hostB/y", Bytes{2}));
+  EXPECT_EQ(old_calls.load(), 2);
+
+  net.remove_endpoint("hostB/y");
+  EXPECT_FALSE(net.send("hostA/x", "hostB/y", Bytes{3}));
+  EXPECT_EQ(reg.counter("net.drop.unknown_dest").value(), 1u);
+  EXPECT_EQ(reg.counter("net.pair.hostA:hostB.drops").value(), 1u);
+
+  auto new_ep = net.create_endpoint("hostB/y");
+  new_ep->set_handler([&](Message&&) { new_calls.fetch_add(1); });
+  EXPECT_TRUE(net.send("hostA/x", "hostB/y", Bytes{4}));
+  EXPECT_EQ(new_calls.load(), 1);
+  EXPECT_EQ(old_calls.load(), 2);
+  EXPECT_EQ(reg.counter("net.sent.msgs").value(), 3u);
+  EXPECT_EQ(reg.counter("net.pair.hostA:hostB.msgs").value(), 3u);
+
+  // Another thread's cache resolves on its own.
+  std::thread other(
+      [&] { EXPECT_TRUE(net.send("hostA/z", "hostB/y", Bytes{5})); });
+  other.join();
+  EXPECT_EQ(new_calls.load(), 2);
+  net.remove_endpoint("hostB/y");
 }
 
 TEST(PushDelivery, RemovedEndpointTakesItsPendingDeliveriesWithIt) {

@@ -84,6 +84,65 @@ TEST(QuiesceGate, ArrivalParksDuringSwapAndReleasesOnResume) {
   EXPECT_EQ(gate.inflight(), 0);
 }
 
+// Requests enter and exit on the live path (no lock) while a driver
+// drains, swaps and resumes over and over: no swap starts with a request
+// inside the gate, no request runs during a swap, and every drain sees the
+// last exit promptly (a missed wakeup would sit out the drain timeout).
+TEST(QuiesceGate, DrainRacingEnterExitNeverSwapsWithARequestInside) {
+  QuiesceGate gate;
+  constexpr int kRequesters = 4, kSwaps = 200;
+  std::atomic<int> inside{0};
+  std::atomic<bool> swapping{false};
+  std::atomic<bool> done{false};
+  std::atomic<int> overlaps{0};
+  std::atomic<long> admitted{0};
+  std::vector<std::thread> requesters;
+  for (int t = 0; t < kRequesters; ++t) {
+    requesters.emplace_back([&] {
+      while (!done.load()) {
+        if (!gate.enter()) continue;
+        inside.fetch_add(1);
+        if (swapping.load()) overlaps.fetch_add(1);
+        admitted.fetch_add(1);
+        inside.fetch_sub(1);
+        gate.exit();
+        std::this_thread::yield();
+      }
+    });
+  }
+  ReconfigOptions opts;
+  opts.drain_timeout = ms(10000);
+  opts.max_parked = kRequesters;
+  opts.park_timeout = ms(20000);
+  Duration slowest{};
+  for (int i = 0; i < kSwaps; ++i) {
+    TimePoint t0 = now();
+    if (!gate.begin_drain(opts)) {
+      ADD_FAILURE() << "drain " << i << " timed out";
+      break;
+    }
+    slowest = std::max(slowest, now() - t0);
+    try {
+      gate.begin_swap();  // throws if a request got in after the drain
+    } catch (const Error&) {
+      overlaps.fetch_add(1);
+      gate.resume();
+      continue;
+    }
+    swapping.store(true);
+    if (inside.load() != 0 || gate.inflight() != 0) overlaps.fetch_add(1);
+    std::this_thread::yield();
+    swapping.store(false);
+    gate.resume();
+  }
+  done.store(true);
+  for (auto& t : requesters) t.join();
+  EXPECT_EQ(overlaps.load(), 0);
+  EXPECT_GT(admitted.load(), 0);
+  EXPECT_EQ(gate.inflight(), 0);
+  EXPECT_LT(slowest, ms(5000));
+}
+
 TEST(QuiesceGate, ParkedQueueOverflowRejectsVisibly) {
   QuiesceGate gate;
   ReconfigOptions opts;
