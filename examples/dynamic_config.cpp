@@ -30,14 +30,17 @@ int main() {
   Cluster cluster(opts);
 
   // The deployment's required client stack, advertised by every replica.
-  QosConfig advertised;
-  advertised.add(Side::kClient, "active_rep")
+  ConfigRevision advertised;
+  advertised.revision = 1;
+  advertised.provenance = "dynamic_config example";
+  advertised.config.add(Side::kClient, "active_rep")
       .add(Side::kClient, "first_success")
       .add(Side::kClient, "des_privacy", {{"key", kKey}});
   for (int i = 0; i < 3; ++i) {
     advertise_config(*cluster.cactus_server(i), advertised);
   }
-  std::printf("server advertises:\n%s\n", advertised.serialize().c_str());
+  std::printf("server advertises:\n%s\n",
+              advertised.config.serialize().c_str());
 
   // A client with an empty micro-protocol stack cannot talk to the service
   // (the server rejects plaintext requests).

@@ -79,20 +79,11 @@ class CompositeProtocol::TableLease {
   std::shared_ptr<const Table> own_;
 };
 
-CompositeProtocol::CompositeProtocol(Options opts) : opts_(std::move(opts)) {
-  {
-    MutexLock lk(mu_);
-    publish_locked(std::make_shared<const Table>());
-  }
-  if (opts_.use_thread_pool) {
-    if (opts_.pool_classes.empty()) {
-      pool_ = std::make_unique<PriorityThreadPool>(opts_.pool_threads,
-                                                   opts_.name + "-pool");
-    } else {
-      pool_ = std::make_unique<PriorityThreadPool>(
-          opts_.pool_threads, opts_.pool_classes, opts_.name + "-pool");
-    }
-  }
+CompositeProtocol::CompositeProtocol(Options opts)
+    : opts_(std::move(opts)),
+      pool_(opts_.pool_threads, opts_.pool_classes, opts_.name + "-pool") {
+  MutexLock lk(mu_);
+  publish_locked(std::make_shared<const Table>());
 }
 
 CompositeProtocol::~CompositeProtocol() { stop(); }
@@ -231,27 +222,16 @@ void CompositeProtocol::raise_async(std::string_view event, std::any dyn,
   // drop path below can still hand the subject to on_async_drop after the
   // task — which owns the other copy — was consumed by try_submit.
   auto task = [this, name, dyn] { run_activation(name, dyn); };
-  if (pool_) {
-    SubmitResult r = pool_->try_submit(priority, std::move(task));
-    if (r != SubmitResult::kAccepted) {
-      // A silently dropped activation is how clients end up hanging until
-      // their timeout: count it and let the owner fail the subject.
-      metrics::Registry::global().counter("cactus.pool.async_dropped").inc();
-      CQOS_LOG_WARN(opts_.name, ": async raise '", name,
-                    "' dropped (pool ",
-                    r == SubmitResult::kShutdown ? "shut down" : "rejected",
-                    ")");
-      if (opts_.on_async_drop) opts_.on_async_drop(name, dyn);
-    }
-    return;
+  SubmitResult r = pool_.try_submit(priority, std::move(task));
+  if (r != SubmitResult::kAccepted) {
+    // A silently dropped activation is how clients end up hanging until
+    // their timeout: count it and let the owner fail the subject.
+    metrics::Registry::global().counter("cactus.pool.async_dropped").inc();
+    CQOS_LOG_WARN(opts_.name, ": async raise '", name, "' dropped (pool ",
+                  r == SubmitResult::kShutdown ? "shut down" : "rejected",
+                  ")");
+    if (opts_.on_async_drop) opts_.on_async_drop(name, dyn);
   }
-  // Unoptimized thread-per-event mode (ablation baseline).
-  MutexLock lk(threads_mu_);
-  if (stopped_.load()) return;
-  spawned_.emplace_back([priority, task = std::move(task)] {
-    PriorityGuard guard(priority);
-    task();
-  });
 }
 
 TimerId CompositeProtocol::raise_delayed(std::string_view event, std::any dyn,
@@ -273,17 +253,7 @@ bool CompositeProtocol::cancel_delayed(TimerId id) {
 void CompositeProtocol::stop() {
   if (stopped_.exchange(true)) return;
   timers_.shutdown();
-  if (pool_) pool_->shutdown();
-  std::vector<std::thread> to_join;
-  {
-    // Swap out under the lock, join outside it: a spawned thread may itself
-    // call raise_async (which takes threads_mu_) while we join.
-    MutexLock lk(threads_mu_);
-    to_join.swap(spawned_);
-  }
-  for (auto& t : to_join) {
-    if (t.joinable()) t.join();
-  }
+  pool_.shutdown();
   std::vector<std::unique_ptr<MicroProtocol>> protos;
   {
     MutexLock lk(mu_);

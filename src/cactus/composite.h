@@ -26,7 +26,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "cactus/thread_pool.h"
@@ -200,13 +199,11 @@ class CompositeProtocol {
  public:
   struct Options {
     std::string name = "composite";
+    /// Workers of the runtime pool that runs every asynchronous raise.
     int pool_threads = 4;
-    /// When false, asynchronous raises spawn one thread per activation
-    /// instead of using the pool (the unoptimized mode measured by
-    /// bench_ablation_threadpool).
-    bool use_thread_pool = true;
-    /// Non-empty: the runtime pool runs in traffic-class mode (per-class
-    /// bounded FIFO queues, weighted round robin across classes).
+    /// The runtime pool's traffic classes (per-class bounded priority
+    /// queues, weighted round robin across classes); empty: one unbounded
+    /// class.
     std::vector<TrafficClass> pool_classes;
     /// Called when an asynchronous raise could not be enqueued (pool
     /// rejected the task or is shutting down) — the owner gets a chance to
@@ -327,13 +324,8 @@ class CompositeProtocol {
   std::vector<std::unique_ptr<MicroProtocol>> protocols_ CQOS_GUARDED_BY(mu_);
   SharedData shared_;
 
-  std::unique_ptr<PriorityThreadPool> pool_;
+  PriorityThreadPool pool_;
   TimerService timers_;
-
-  // thread-per-event mode bookkeeping. Lock hierarchy: threads_mu_ is a
-  // leaf — never held while taking mu_ or calling into handlers.
-  Mutex threads_mu_ CQOS_ACQUIRED_AFTER(mu_);
-  std::vector<std::thread> spawned_ CQOS_GUARDED_BY(threads_mu_);
   std::atomic<bool> stopped_{false};
 };
 

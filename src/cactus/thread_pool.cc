@@ -6,15 +6,10 @@
 
 namespace cqos::cactus {
 
-PriorityThreadPool::PriorityThreadPool(int num_threads, std::string name) {
-  (void)name;
-  start_workers(num_threads);
-}
-
 PriorityThreadPool::PriorityThreadPool(int num_threads,
                                        std::vector<TrafficClass> classes,
                                        std::string name)
-    : classes_(std::move(classes)) {
+    : slots_(std::max(num_threads, 1)), classes_(std::move(classes)) {
   std::stable_sort(classes_.begin(), classes_.end(),
                    [](const TrafficClass& a, const TrafficClass& b) {
                      return a.min_priority > b.min_priority;
@@ -26,16 +21,13 @@ PriorityThreadPool::PriorityThreadPool(int num_threads,
     enqueued_.push_back(&reg.counter(stem + ".enqueued"));
     rejected_.push_back(&reg.counter(stem + ".rejected"));
   }
+  // The implicit class is unbounded, so it never rejects and needs no
+  // counters: a pool without classes adds no series to a snapshot.
+  if (classes_.empty()) classes_.push_back(TrafficClass{"default"});
   class_queues_.resize(classes_.size());
-  if (!classes_.empty()) wrr_credit_ = classes_[0].weight;
-  start_workers(num_threads);
-}
-
-void PriorityThreadPool::start_workers(int num_threads) {
-  if (num_threads < 1) num_threads = 1;
-  slots_ = num_threads;
-  workers_.reserve(static_cast<std::size_t>(num_threads));
-  for (int i = 0; i < num_threads; ++i) {
+  wrr_credit_ = classes_[0].weight;
+  workers_.reserve(static_cast<std::size_t>(slots_));
+  for (int i = 0; i < slots_; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -48,7 +40,7 @@ std::size_t PriorityThreadPool::class_index_for(int priority) const {
   for (std::size_t i = 0; i < classes_.size(); ++i) {
     if (priority >= classes_[i].min_priority) return i;
   }
-  return classes_.empty() ? 0 : classes_.size() - 1;
+  return classes_.size() - 1;
 }
 
 std::size_t PriorityThreadPool::queue_depth(std::size_t idx) const {
@@ -61,12 +53,6 @@ SubmitResult PriorityThreadPool::try_submit(int priority,
                                             std::function<void()> task) {
   MutexLock lk(mu_);
   if (shutdown_.load(std::memory_order_relaxed)) return SubmitResult::kShutdown;
-  if (classes_.empty()) {
-    queue_.push(Item{priority, next_seq_++, std::move(task)});
-    queued_.fetch_add(1, std::memory_order_seq_cst);
-    cv_.notify_one();
-    return SubmitResult::kAccepted;
-  }
   std::size_t idx = class_index_for(priority);
   const TrafficClass& cls = classes_[idx];
   auto& q = class_queues_[idx];
@@ -74,9 +60,9 @@ SubmitResult PriorityThreadPool::try_submit(int priority,
     rejected_[idx]->inc();
     return SubmitResult::kRejected;
   }
-  q.push_back(Item{priority, next_seq_++, std::move(task)});
+  q.push(Item{priority, next_seq_++, std::move(task)});
   queued_.fetch_add(1, std::memory_order_seq_cst);
-  enqueued_[idx]->inc();
+  if (!enqueued_.empty()) enqueued_[idx]->inc();
   cv_.notify_one();
   return SubmitResult::kAccepted;
 }
@@ -138,27 +124,20 @@ void PriorityThreadPool::advance_wrr() {
 }
 
 bool PriorityThreadPool::queues_empty() const {
-  if (classes_.empty()) return queue_.empty();
   return std::all_of(class_queues_.begin(), class_queues_.end(),
-                     [](const std::deque<Item>& q) { return q.empty(); });
+                     [](const auto& q) { return q.empty(); });
 }
 
 bool PriorityThreadPool::pop_next(Item& out) {
-  if (classes_.empty()) {
-    if (queue_.empty()) return false;
-    // const_cast is safe: we pop immediately after moving the task out.
-    out = std::move(const_cast<Item&>(queue_.top()));
-    queue_.pop();
-    return true;
-  }
   // Weighted round robin: serve up to `weight` tasks from the current class
   // before moving on; skip empty classes so the pool stays work-conserving
   // (weights only matter while more than one class is backlogged).
   for (std::size_t scanned = 0; scanned < classes_.size(); ++scanned) {
     auto& q = class_queues_[wrr_idx_];
     if (!q.empty() && wrr_credit_ > 0) {
-      out = std::move(q.front());
-      q.pop_front();
+      // const_cast is safe: the item is popped right after the move.
+      out = std::move(const_cast<Item&>(q.top()));
+      q.pop();
       --wrr_credit_;
       if (wrr_credit_ == 0) advance_wrr();
       return true;

@@ -2,29 +2,26 @@
 // event execution.
 //
 // The paper notes (§5) that "use of a thread pool for event handling reduced
-// overhead considerably" versus spawning a thread per event; both modes are
-// implemented (the per-event mode lives in CompositeProtocol) so the
-// bench_ablation_threadpool harness can quantify the difference.
+// overhead considerably" versus spawning a thread per event (measured in
+// EXPERIMENTS.md, Ablation A), so every asynchronous raise runs here.
 //
-// Each task carries a logical priority. Two scheduling modes:
-//
-//   legacy (no traffic classes configured): workers pop the highest-priority
-//   pending task (FIFO within a priority) and run it with the thread-local
-//   priority set accordingly, preserving the paper's guarantee that handlers
-//   run at the priority of the raising thread unless overridden.
-//
-//   traffic-class (one or more TrafficClass specs): tasks are mapped to the
-//   first class (descending min_priority order) whose min_priority the task
-//   priority reaches; each class has its own bounded FIFO queue and workers
-//   drain the queues weighted-round-robin by class weight. A full bounded
-//   queue rejects at submit time (SubmitResult::kRejected) instead of
-//   queueing unboundedly — the overload-protection seam the admission layer
-//   and the platform dispatchers build on.
+// Each task carries a logical priority and maps to a traffic class: the
+// first class (descending min_priority order) whose min_priority the task
+// priority reaches, the lowest class catching everything below. Each class
+// queue runs its highest-priority task first, FIFO within a priority, and
+// a worker runs it with the thread-local priority set accordingly,
+// preserving the paper's guarantee that handlers run at the priority of the
+// raising thread unless overridden. Workers drain the classes
+// weighted-round-robin by class weight. A full bounded queue rejects at
+// submit time (SubmitResult::kRejected) instead of queueing unboundedly —
+// the overload-protection seam the admission layer and the platform
+// dispatchers build on. A pool built with no classes has one unbounded
+// catch-all class, which registers no metric series.
 //
 // Shutdown contract (drain-then-join, deterministic):
-//   - every task accepted by submit()/try_submit() (kAccepted) is RUN before
-//     shutdown() returns; tasks are never dropped;
-//   - submit() after shutdown() began returns false (kShutdown) and the task
+//   - every task try_submit() accepted (kAccepted) is RUN before shutdown()
+//     returns; tasks are never dropped;
+//   - try_submit() after shutdown() began returns kShutdown and the task
 //     never runs;
 //   - shutdown() returns only once all workers have exited, including when
 //     several threads race to call it — late callers block until the join
@@ -40,7 +37,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <queue>
 #include <string>
@@ -59,10 +55,10 @@ class Counter;
 
 namespace cqos::cactus {
 
-/// One scheduling class of a traffic-class pool. Tasks with
-/// priority >= min_priority (and not claimed by a higher class) land in this
-/// class's FIFO queue; workers visit classes weighted-round-robin, taking up
-/// to `weight` tasks per visit while other classes are backlogged.
+/// One scheduling class of the pool. Tasks with priority >= min_priority
+/// (and not claimed by a higher class) land in this class's queue, highest
+/// priority first; workers visit classes weighted-round-robin, taking up to
+/// `weight` tasks per visit while other classes are backlogged.
 struct TrafficClass {
   std::string name;        // metrics label ("high", "best_effort", ...)
   int min_priority = 0;    // lowest task priority mapped to this class
@@ -76,26 +72,20 @@ enum class SubmitResult { kAccepted, kRejected, kShutdown };
 
 class PriorityThreadPool {
  public:
-  explicit PriorityThreadPool(int num_threads, std::string name = "cactus");
-  /// Traffic-class mode. Classes may be given in any order; they are kept
-  /// sorted by descending min_priority and the lowest class is the
-  /// catch-all for priorities below every min_priority.
-  PriorityThreadPool(int num_threads, std::vector<TrafficClass> classes,
-                     std::string name = "cactus");
+  /// Classes may be given in any order; they are kept sorted by descending
+  /// min_priority and the lowest class is the catch-all for priorities below
+  /// every min_priority. No classes: one unbounded class with no metrics.
+  explicit PriorityThreadPool(int num_threads,
+                              std::vector<TrafficClass> classes = {},
+                              std::string name = "cactus");
   ~PriorityThreadPool();
 
   PriorityThreadPool(const PriorityThreadPool&) = delete;
   PriorityThreadPool& operator=(const PriorityThreadPool&) = delete;
 
   /// Enqueue a task at `priority` (larger runs first). Returns kAccepted,
-  /// kRejected (traffic-class mode, target class queue full) or kShutdown.
+  /// kRejected (target class queue full) or kShutdown.
   SubmitResult try_submit(int priority, std::function<void()> task);
-
-  /// Compatibility wrapper: true iff the task was accepted. Callers that
-  /// need to distinguish rejection from shutdown use try_submit.
-  bool submit(int priority, std::function<void()> task) {
-    return try_submit(priority, std::move(task)) == SubmitResult::kAccepted;
-  }
 
   /// Run `task` on the calling thread, under a PriorityGuard at `priority`,
   /// if a worker would start it at once: nothing is queued in any class and
@@ -122,12 +112,12 @@ class PriorityThreadPool {
 
   int num_threads() const { return slots_; }
 
-  bool class_mode() const { return !classes_.empty(); }
-  /// Configured classes, descending min_priority (empty in legacy mode).
+  /// The classes, descending min_priority (the one implicit class when
+  /// none were configured).
   const std::vector<TrafficClass>& classes() const { return classes_; }
-  /// Index of the class a task at `priority` maps to (class mode only).
+  /// Index of the class a task at `priority` maps to.
   std::size_t class_index_for(int priority) const;
-  /// Current queued depth of class `idx` (class mode only; for tests/bench).
+  /// Current queued depth of class `idx` (for tests/bench).
   std::size_t queue_depth(std::size_t idx) const;
 
  private:
@@ -155,7 +145,6 @@ class PriorityThreadPool {
     }
   }
 
-  void start_workers(int num_threads);
   void worker_loop();
   /// Claim a slot for an inline run (false: the task would wait); the
   /// matching leave_inline() frees it. Neither takes mu_ unless tasks are
@@ -170,9 +159,8 @@ class PriorityThreadPool {
 
   mutable Mutex mu_;
   CondVar cv_;
-  std::priority_queue<Item, std::vector<Item>, ItemLess> queue_
-      CQOS_GUARDED_BY(mu_);  // legacy mode
-  std::vector<std::deque<Item>> class_queues_ CQOS_GUARDED_BY(mu_);
+  std::vector<std::priority_queue<Item, std::vector<Item>, ItemLess>>
+      class_queues_ CQOS_GUARDED_BY(mu_);
   std::size_t wrr_idx_ CQOS_GUARDED_BY(mu_) = 0;   // class being served
   int wrr_credit_ CQOS_GUARDED_BY(mu_) = 0;        // remaining weight share
   std::uint64_t next_seq_ CQOS_GUARDED_BY(mu_) = 0;
@@ -188,7 +176,8 @@ class PriorityThreadPool {
   // Immutable after construction.
   int slots_ = 0;  // the concurrency bound: the number of workers
   std::vector<TrafficClass> classes_;  // sorted by descending min_priority
-  std::vector<metrics::Counter*> enqueued_;  // per class, global registry
+  /// Per configured class, global registry; empty for the implicit class.
+  std::vector<metrics::Counter*> enqueued_;
   std::vector<metrics::Counter*> rejected_;
 
   // Lock hierarchy: join_mu_ is acquired strictly after mu_ is released —

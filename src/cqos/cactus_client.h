@@ -31,7 +31,6 @@ class CactusClient {
       cactus::CompositeProtocol::Options o;
       o.name = "cactus-client";
       o.pool_threads = 4;
-      o.use_thread_pool = true;
       return o;
     }();
     /// Upper bound on one request's end-to-end completion.

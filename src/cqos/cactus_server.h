@@ -40,7 +40,6 @@ class CactusServer {
       cactus::CompositeProtocol::Options o;
       o.name = "cactus-server";
       o.pool_threads = 4;
-      o.use_thread_pool = true;
       return o;
     }();
     /// How long a request stays parked (total order, a scheduler) before it

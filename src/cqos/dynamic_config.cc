@@ -43,14 +43,6 @@ void advertise_config(CactusServer& server, ConfigRevision rev) {
       cactus::kOrderDefault);
 }
 
-void advertise_config(CactusServer& server, const QosConfig& config) {
-  ConfigRevision rev;
-  rev.revision = 1;
-  rev.config = config;
-  rev.provenance = "advertise_config";
-  advertise_config(server, std::move(rev));
-}
-
 bool update_advertised_config(CactusServer& server, ConfigRevision rev) {
   auto slot = advertised_slot(server);
   MutexLock lk(slot->mu);
@@ -76,18 +68,13 @@ ConfigRevision fetch_config_revision(plat::Platform& platform,
   return ConfigRevision::parse(reply.result.as_string());
 }
 
-QosConfig fetch_config(plat::Platform& platform, const std::string& object_id,
-                       int replica_index, Duration timeout) {
-  return fetch_config_revision(platform, object_id, replica_index, timeout)
-      .config;
-}
-
 void bootstrap_client(CactusClient& client, plat::Platform& platform,
                       const std::string& object_id, int replica_index,
                       Duration timeout) {
-  QosConfig config = fetch_config(platform, object_id, replica_index, timeout);
+  ConfigRevision rev =
+      fetch_config_revision(platform, object_id, replica_index, timeout);
   // cqos-lint: allow-reconfig-seam (bootstrap install into a bare client)
-  MicroProtocolRegistry::instance().install(Side::kClient, config.client,
+  MicroProtocolRegistry::instance().install(Side::kClient, rev.config.client,
                                             client.protocol());
 }
 

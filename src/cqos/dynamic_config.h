@@ -54,9 +54,6 @@ inline constexpr const char* kAdvertisedConfigKey = "cqos.advertised_config";
 /// when monotonicity must be enforced).
 void advertise_config(CactusServer& server, ConfigRevision rev);
 
-/// Compatibility overload: advertise an unversioned config as revision 1.
-void advertise_config(CactusServer& server, const QosConfig& config);
-
 /// Replace the advertisement only if `rev.revision` is strictly greater
 /// than the currently advertised revision. Returns false (leaving the
 /// advertisement untouched) on a stale or duplicate revision, or when
@@ -70,10 +67,6 @@ bool update_advertised_config(CactusServer& server, ConfigRevision rev);
 ConfigRevision fetch_config_revision(plat::Platform& platform,
                                      const std::string& object_id,
                                      int replica_index, Duration timeout);
-
-/// Convenience: fetch_config_revision and drop the version metadata.
-QosConfig fetch_config(plat::Platform& platform, const std::string& object_id,
-                       int replica_index, Duration timeout);
 
 /// Convenience: fetch the configuration and install its client-side
 /// micro-protocols into `client`.

@@ -270,10 +270,6 @@ QosEndpoint::ClientBuilder& QosEndpoint::ClientBuilder::pool_threads(int n) {
   cactus_opts_.composite.pool_threads = n;
   return *this;
 }
-QosEndpoint::ClientBuilder& QosEndpoint::ClientBuilder::thread_pool(bool on) {
-  cactus_opts_.composite.use_thread_pool = on;
-  return *this;
-}
 QosEndpoint::ClientBuilder& QosEndpoint::ClientBuilder::priority(int p) {
   stub_opts_.priority = p;
   return *this;
@@ -385,10 +381,6 @@ QosEndpoint::ServerBuilder& QosEndpoint::ServerBuilder::composite_name(
 }
 QosEndpoint::ServerBuilder& QosEndpoint::ServerBuilder::pool_threads(int n) {
   cactus_opts_.composite.pool_threads = n;
-  return *this;
-}
-QosEndpoint::ServerBuilder& QosEndpoint::ServerBuilder::thread_pool(bool on) {
-  cactus_opts_.composite.use_thread_pool = on;
   return *this;
 }
 

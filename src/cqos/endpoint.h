@@ -271,7 +271,6 @@ class QosEndpoint {
     ClientBuilder& request_timeout(Duration d);
     ClientBuilder& composite_name(std::string name);
     ClientBuilder& pool_threads(int n);
-    ClientBuilder& thread_pool(bool on);
 
     // Stub knobs (CqosStub::Options).
     ClientBuilder& priority(int p);
@@ -325,7 +324,6 @@ class QosEndpoint {
     ServerBuilder& process_timeout(Duration d);
     ServerBuilder& composite_name(std::string name);
     ServerBuilder& pool_threads(int n);
-    ServerBuilder& thread_pool(bool on);
 
     /// Build and register with the platform (CQoS naming in kFull/kBypass,
     /// the direct name in kStatic). Registration happens strictly after

@@ -212,7 +212,7 @@ void Runtime::on_server_message(net::Message&& msg) {
       return;
     }
     // Classify by the piggybacked priority before a worker is committed;
-    // single-queue mode never rejects.
+    // a pool without classes never rejects.
     int prio = piggyback_priority(frame.piggyback, kNormalPriority);
     std::uint64_t id = frame.id;
     std::string reply_to = frame.reply_to;

@@ -77,7 +77,6 @@ Cluster::Cluster(ClusterOptions opts)
                                         : opts_.qos.server)
           .composite_name("cactus-server-" + replica->host)
           .pool_threads(opts_.pool_threads)
-          .thread_pool(opts_.use_thread_pool)
           .process_timeout(opts_.request_timeout);
     }
     replica->endpoint = builder.build();
@@ -169,7 +168,6 @@ std::unique_ptr<ClientHandle> Cluster::make_client(
                                               : opts_.qos.client)
         .composite_name("cactus-client-" + host)
         .pool_threads(opts_.pool_threads)
-        .thread_pool(opts_.use_thread_pool)
         .request_timeout(opts_.request_timeout);
   }
   handle->endpoint_ = builder.build();

@@ -66,14 +66,13 @@ struct ClusterOptions {
   std::function<std::shared_ptr<Servant>()> servant_factory;
   /// Cactus runtime options.
   int pool_threads = 4;
-  bool use_thread_pool = true;
   Duration request_timeout = ms(3000);
   /// Per-invocation transport timeout (a lost message costs this much
   /// before invokeFailure fires — lower it when testing retransmission).
   Duration invoke_timeout = ms(1000);
   /// Platform server-side dispatch threads.
   int platform_threads = 8;
-  /// Non-empty: the platform dispatch pools run in traffic-class mode
+  /// Non-empty: the platform dispatch pools use these traffic classes
   /// (per-class bounded WRR queues keyed off the piggybacked cq.prio, full
   /// class queues rejected immediately with a backpressure reply).
   std::vector<cactus::TrafficClass> platform_classes;

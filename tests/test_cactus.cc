@@ -311,17 +311,6 @@ TEST(Composite, StopIsIdempotentAndDropsAsyncWork) {
   SUCCEED();
 }
 
-TEST(Composite, ThreadPerEventModeStillWorks) {
-  CompositeProtocol::Options opts;
-  opts.use_thread_pool = false;
-  CompositeProtocol proto(opts);
-  CountdownLatch latch(8);
-  proto.bind("ev", "h", [&](EventContext&) { latch.count_down(); });
-  for (int i = 0; i < 8; ++i) proto.raise_async("ev");
-  EXPECT_TRUE(latch.wait_for(ms(2000)));
-  proto.stop();
-}
-
 TEST(Composite, MicroProtocolLifecycle) {
   class Probe : public MicroProtocol {
    public:
@@ -353,18 +342,22 @@ TEST(PriorityPool, HigherPriorityRunsFirst) {
   std::vector<int> order;
   std::mutex mu;
   // Occupy the single worker so subsequent tasks queue up.
-  pool.submit(kNormalPriority, [&] {
-    seeded.set();
-    block.wait();
-  });
+  ASSERT_EQ(pool.try_submit(kNormalPriority,
+                            [&] {
+                              seeded.set();
+                              block.wait();
+                            }),
+            SubmitResult::kAccepted);
   ASSERT_TRUE(seeded.wait_for(ms(2000)));
   CountdownLatch latch(3);
   for (int prio : {3, 9, 5}) {
-    pool.submit(prio, [&, prio] {
-      std::scoped_lock lk(mu);
-      order.push_back(prio);
-      latch.count_down();
-    });
+    EXPECT_EQ(pool.try_submit(prio,
+                              [&, prio] {
+                                std::scoped_lock lk(mu);
+                                order.push_back(prio);
+                                latch.count_down();
+                              }),
+              SubmitResult::kAccepted);
   }
   block.set();
   ASSERT_TRUE(latch.wait_for(ms(2000)));
@@ -376,18 +369,22 @@ TEST(PriorityPool, FifoWithinPriority) {
   Gate block, seeded;
   std::vector<int> order;
   std::mutex mu;
-  pool.submit(kNormalPriority, [&] {
-    seeded.set();
-    block.wait();
-  });
+  ASSERT_EQ(pool.try_submit(kNormalPriority,
+                            [&] {
+                              seeded.set();
+                              block.wait();
+                            }),
+            SubmitResult::kAccepted);
   ASSERT_TRUE(seeded.wait_for(ms(2000)));
   CountdownLatch latch(4);
   for (int i = 0; i < 4; ++i) {
-    pool.submit(kNormalPriority, [&, i] {
-      std::scoped_lock lk(mu);
-      order.push_back(i);
-      latch.count_down();
-    });
+    EXPECT_EQ(pool.try_submit(kNormalPriority,
+                              [&, i] {
+                                std::scoped_lock lk(mu);
+                                order.push_back(i);
+                                latch.count_down();
+                              }),
+              SubmitResult::kAccepted);
   }
   block.set();
   ASSERT_TRUE(latch.wait_for(ms(2000)));
@@ -398,7 +395,7 @@ TEST(PriorityPool, InlineAndPooledRunsShareTheConcurrencyBound) {
   constexpr int kSlots = 3;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 300;
-  PriorityThreadPool pool(kSlots, "inline-bound");
+  PriorityThreadPool pool(kSlots, {}, "inline-bound");
   std::atomic<int> active{0};
   std::atomic<int> peak{0};
   std::atomic<int> ran{0};
@@ -424,7 +421,7 @@ TEST(PriorityPool, InlineAndPooledRunsShareTheConcurrencyBound) {
           while (!pool.try_run_inline(prio, task)) std::this_thread::yield();
           inline_runs.fetch_add(1);
         } else {
-          ASSERT_TRUE(pool.submit(prio, task));
+          ASSERT_EQ(pool.try_submit(prio, task), SubmitResult::kAccepted);
         }
       }
     });
@@ -446,7 +443,7 @@ TEST(PriorityPool, InlineAndPooledRunsShareTheConcurrencyBound) {
 TEST(PriorityPool, InlineRunsRacingSubmitsStrandNoTask) {
   constexpr int kSlots = 2;
   constexpr int kRounds = 200;
-  PriorityThreadPool pool(kSlots, "inline-race");
+  PriorityThreadPool pool(kSlots, {}, "inline-race");
   std::atomic<int> active{0};
   std::atomic<int> peak{0};
   std::atomic<int> ran{0};
@@ -499,7 +496,7 @@ TEST(PriorityPool, InlineRunsRacingSubmitsStrandNoTask) {
 }
 
 TEST(PriorityPool, InlineRunHoldsItsSlotAndQueuedWorkKeepsPriorityOrder) {
-  PriorityThreadPool pool(1, "inline-order");
+  PriorityThreadPool pool(1, {}, "inline-order");
   Gate entered, release;
   std::thread holder([&] {
     auto hold = [&] {
@@ -520,11 +517,13 @@ TEST(PriorityPool, InlineRunHoldsItsSlotAndQueuedWorkKeepsPriorityOrder) {
   std::mutex mu;
   CountdownLatch latch(3);
   for (int prio : {3, 9, 5}) {
-    pool.submit(prio, [&, prio] {
-      std::scoped_lock lk(mu);
-      order.push_back(prio);
-      latch.count_down();
-    });
+    EXPECT_EQ(pool.try_submit(prio,
+                              [&, prio] {
+                                std::scoped_lock lk(mu);
+                                order.push_back(prio);
+                                latch.count_down();
+                              }),
+              SubmitResult::kAccepted);
   }
   std::this_thread::sleep_for(ms(20));
   {
@@ -541,7 +540,7 @@ TEST(PriorityPool, InlineRunHoldsItsSlotAndQueuedWorkKeepsPriorityOrder) {
 TEST(PriorityPool, SubmitAfterShutdownRejected) {
   PriorityThreadPool pool(2);
   pool.shutdown();
-  EXPECT_FALSE(pool.submit(5, [] {}));
+  EXPECT_EQ(pool.try_submit(5, [] {}), SubmitResult::kShutdown);
   bool ran = false;
   auto task = [&] { ran = true; };
   EXPECT_FALSE(pool.try_run_inline(5, task));

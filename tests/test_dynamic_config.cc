@@ -26,9 +26,11 @@ ClusterOptions options_with_advertised_stack() {
   return opts;
 }
 
-QosConfig advertised_config() {
-  QosConfig advertised;
-  advertised.add(Side::kClient, "active_rep")
+ConfigRevision advertised_config() {
+  ConfigRevision advertised;
+  advertised.revision = 1;
+  advertised.provenance = "test-advertiser";
+  advertised.config.add(Side::kClient, "active_rep")
       .add(Side::kClient, "first_success")
       .add(Side::kClient, "des_privacy", {{"key", kKey}});
   return advertised;
@@ -64,8 +66,11 @@ TEST(DynamicConfig, FetchReturnsServerAdvertisedText) {
   Cluster cluster(options_with_advertised_stack());
   advertise_config(*cluster.cactus_server(0), advertised_config());
   auto client = cluster.make_client();
-  QosConfig fetched = fetch_config(client->platform(),
-                                   cluster.options().object_id, 1, ms(500));
+  ConfigRevision rev = fetch_config_revision(
+      client->platform(), cluster.options().object_id, 1, ms(500));
+  EXPECT_EQ(rev.revision, 1u);
+  EXPECT_EQ(rev.provenance, "test-advertiser");
+  const QosConfig& fetched = rev.config;
   ASSERT_EQ(fetched.client.size(), 3u);
   EXPECT_EQ(fetched.client[0].name, "active_rep");
   EXPECT_EQ(fetched.client[2].param("key"), kKey);
@@ -74,8 +79,8 @@ TEST(DynamicConfig, FetchReturnsServerAdvertisedText) {
 TEST(DynamicConfig, MissingAdvertisementIsAnError) {
   Cluster cluster(options_with_advertised_stack());  // nothing advertised
   auto client = cluster.make_client();
-  EXPECT_THROW(fetch_config(client->platform(), cluster.options().object_id, 1,
-                            ms(500)),
+  EXPECT_THROW(fetch_config_revision(client->platform(),
+                                     cluster.options().object_id, 1, ms(500)),
                Error);
 }
 
@@ -83,7 +88,8 @@ TEST(DynamicConfig, UnknownAdvertisedProtocolFailsBootstrap) {
   Cluster cluster(options_with_advertised_stack());
   QosConfig bad;
   bad.add(Side::kClient, "hologram_rep");  // not in the registry
-  advertise_config(*cluster.cactus_server(0), bad);
+  advertise_config(*cluster.cactus_server(0),
+                   ConfigRevision{1, bad, "test-advertiser"});
   std::vector<MicroProtocolSpec> bare;
   auto client = cluster.make_client({}, &bare);
   EXPECT_THROW(

@@ -7,7 +7,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cactus/composite.h"
@@ -55,7 +57,7 @@ class Gate {
   std::atomic<bool> entered_{false};
 };
 
-// --- PriorityThreadPool traffic-class mode ---------------------------------------
+// --- PriorityThreadPool traffic classes ------------------------------------------
 
 TEST(ThreadPoolClassMode, ClassMappingSortsAndCatchesAll) {
   // Given out of order: the pool must sort descending min_priority and use
@@ -64,7 +66,6 @@ TEST(ThreadPoolClassMode, ClassMappingSortsAndCatchesAll) {
                           {TrafficClass{"low", 3, 1, 0},
                            TrafficClass{"high", 7, 4, 0}},
                           "map-test");
-  ASSERT_TRUE(pool.class_mode());
   ASSERT_EQ(pool.classes().size(), 2u);
   EXPECT_EQ(pool.classes()[0].name, "high");
   EXPECT_EQ(pool.classes()[1].name, "low");
@@ -100,15 +101,18 @@ TEST(ThreadPoolClassMode, WrrInterleavesBackloggedClasses) {
   Gate gate;
   std::mutex order_mu;
   std::vector<char> order;
-  ASSERT_TRUE(pool.submit(9, [&gate] { gate.wait(); }));
+  ASSERT_EQ(pool.try_submit(9, [&gate] { gate.wait(); }),
+            SubmitResult::kAccepted);
   gate.await_entered();
   auto record = [&order_mu, &order](char tag) {
     std::scoped_lock lk(order_mu);
     order.push_back(tag);
   };
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(pool.submit(9, [record] { record('H'); }));
-    ASSERT_TRUE(pool.submit(1, [record] { record('L'); }));
+    ASSERT_EQ(pool.try_submit(9, [record] { record('H'); }),
+              SubmitResult::kAccepted);
+    ASSERT_EQ(pool.try_submit(1, [record] { record('L'); }),
+              SubmitResult::kAccepted);
   }
   gate.release();
   pool.shutdown();
@@ -126,17 +130,66 @@ TEST(ThreadPoolClassMode, WrrInterleavesBackloggedClasses) {
   EXPECT_LT(first_low, last_high);
 }
 
+TEST(ThreadPoolClassMode, PriorityOrderWithinAClass) {
+  // One class queue runs its highest priority first, FIFO within a
+  // priority — the paper's priority guarantee holds inside every class.
+  PriorityThreadPool pool(1, {TrafficClass{"only", 0, 1, 0}}, "order-test");
+  Gate gate;
+  std::mutex order_mu;
+  std::vector<std::pair<int, int>> order;  // (priority, submit index)
+  ASSERT_EQ(pool.try_submit(5, [&gate] { gate.wait(); }),
+            SubmitResult::kAccepted);
+  gate.await_entered();
+  const int prios[] = {3, 9, 5, 5, 5};
+  for (int i = 0; i < 5; ++i) {
+    int prio = prios[i];
+    EXPECT_EQ(pool.try_submit(prio,
+                              [&order_mu, &order, prio, i] {
+                                std::scoped_lock lk(order_mu);
+                                order.emplace_back(prio, i);
+                              }),
+              SubmitResult::kAccepted);
+  }
+  gate.release();
+  pool.shutdown();
+  EXPECT_EQ(order, (std::vector<std::pair<int, int>>{
+                       {9, 1}, {5, 2}, {5, 3}, {5, 4}, {3, 0}}));
+}
+
 TEST(ThreadPoolClassMode, LegacyModeWithoutClassesUnchanged) {
-  PriorityThreadPool pool(2, "legacy-test");
-  EXPECT_FALSE(pool.class_mode());
+  PriorityThreadPool pool(2, {}, "legacy-test");
+  EXPECT_EQ(pool.classes().size(), 1u);  // the implicit catch-all class
   std::atomic<int> ran{0};
   for (int i = 0; i < 16; ++i) {
-    // Legacy mode has no bounds: submit always accepts until shutdown.
-    EXPECT_TRUE(pool.submit(i % 10, [&ran] { ran.fetch_add(1); }));
+    // The implicit class has no bound: submit accepts until shutdown.
+    EXPECT_EQ(pool.try_submit(i % 10, [&ran] { ran.fetch_add(1); }),
+              SubmitResult::kAccepted);
   }
   pool.shutdown();
   EXPECT_EQ(ran.load(), 16);
   EXPECT_EQ(pool.try_submit(5, [] {}), SubmitResult::kShutdown);
+}
+
+TEST(ThreadPoolClassMode, PoolWithoutClassesRegistersNoSeries) {
+  // The implicit class keeps no counters, so it adds nothing to a metrics
+  // snapshot; a configured class of the same pool name would.
+  {
+    PriorityThreadPool pool(1, {}, "seriesless-test");
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(pool.try_submit(i, [] {}), SubmitResult::kAccepted);
+    }
+    pool.shutdown();
+  }
+  std::string snapshot = metrics::Registry::global().to_json();
+  EXPECT_EQ(snapshot.find("cactus.pool.seriesless-test."), std::string::npos);
+
+  PriorityThreadPool classed(1, {TrafficClass{"only", 0, 1, 0}},
+                             "seriesful-test");
+  EXPECT_EQ(classed.try_submit(1, [] {}), SubmitResult::kAccepted);
+  classed.shutdown();
+  snapshot = metrics::Registry::global().to_json();
+  EXPECT_NE(snapshot.find("cactus.pool.seriesful-test.only.enqueued"),
+            std::string::npos);
 }
 
 TEST(ThreadPoolClassMode, SubmitAfterShutdownReportsShutdownNotReject) {

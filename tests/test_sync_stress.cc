@@ -19,6 +19,8 @@
 namespace cqos {
 namespace {
 
+using cactus::SubmitResult;
+
 // Sized so the whole file stays well under the 120 s ctest timeout even
 // under TSan (~10-20x slowdown).
 constexpr int kManyThreads = 200;
@@ -105,7 +107,7 @@ TEST(SyncStress, CountdownLatchWaiterDestroysAfterLastCount) {
 }
 
 TEST(SyncStress, ThreadPoolManySubmittersAllTasksRun) {
-  cactus::PriorityThreadPool pool(8, "stress");
+  cactus::PriorityThreadPool pool(8, {}, "stress");
   std::atomic<int> ran{0};
   std::atomic<int> accepted{0};
   std::vector<std::thread> submitters;
@@ -113,9 +115,9 @@ TEST(SyncStress, ThreadPoolManySubmittersAllTasksRun) {
   for (int i = 0; i < kManyThreads; ++i) {
     submitters.emplace_back([&, i] {
       for (int j = 0; j < 20; ++j) {
-        if (pool.submit(i % 5, [&] {
+        if (pool.try_submit(i % 5, [&] {
               ran.fetch_add(1, std::memory_order_relaxed);
-            })) {
+            }) == SubmitResult::kAccepted) {
           accepted.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -130,13 +132,14 @@ TEST(SyncStress, ThreadPoolManySubmittersAllTasksRun) {
 
 TEST(SyncStress, ThreadPoolShutdownDrainsPendingQueue) {
   for (int round = 0; round < 20; ++round) {
-    cactus::PriorityThreadPool pool(2, "drain");
+    cactus::PriorityThreadPool pool(2, {}, "drain");
     std::atomic<int> ran{0};
     constexpr int kTasks = 500;
     int submitted = 0;
     for (int i = 0; i < kTasks; ++i) {
-      if (pool.submit(i % 3,
-                      [&] { ran.fetch_add(1, std::memory_order_relaxed); })) {
+      if (pool.try_submit(i % 3, [&] {
+            ran.fetch_add(1, std::memory_order_relaxed);
+          }) == SubmitResult::kAccepted) {
         ++submitted;
       }
     }
@@ -148,10 +151,13 @@ TEST(SyncStress, ThreadPoolShutdownDrainsPendingQueue) {
 
 TEST(SyncStress, ThreadPoolConcurrentShutdownAllCallersBlockUntilJoined) {
   for (int round = 0; round < 20; ++round) {
-    auto pool = std::make_unique<cactus::PriorityThreadPool>(4, "race");
+    auto pool = std::make_unique<cactus::PriorityThreadPool>(
+        4, std::vector<cactus::TrafficClass>{}, "race");
     std::atomic<int> ran{0};
     for (int i = 0; i < 100; ++i) {
-      pool->submit(0, [&] { ran.fetch_add(1, std::memory_order_relaxed); });
+      ASSERT_EQ(pool->try_submit(
+                    0, [&] { ran.fetch_add(1, std::memory_order_relaxed); }),
+                SubmitResult::kAccepted);
     }
     CountdownLatch go(1);
     std::vector<std::thread> closers;
@@ -166,14 +172,15 @@ TEST(SyncStress, ThreadPoolConcurrentShutdownAllCallersBlockUntilJoined) {
     }
     go.count_down();
     for (auto& t : closers) t.join();
-    EXPECT_FALSE(pool->submit(0, [] {}));  // closed pool rejects work
+    // A closed pool refuses work as shut down, not as rejected.
+    EXPECT_EQ(pool->try_submit(0, [] {}), SubmitResult::kShutdown);
     pool.reset();
   }
 }
 
 TEST(SyncStress, ThreadPoolSubmitRacingShutdownNeverLosesAcceptedTask) {
   for (int round = 0; round < 40; ++round) {
-    cactus::PriorityThreadPool pool(3, "race2");
+    cactus::PriorityThreadPool pool(3, {}, "race2");
     std::atomic<int> ran{0};
     std::atomic<int> accepted{0};
     CountdownLatch go(1);
@@ -182,10 +189,12 @@ TEST(SyncStress, ThreadPoolSubmitRacingShutdownNeverLosesAcceptedTask) {
       submitters.emplace_back([&] {
         go.wait();
         for (int j = 0; j < 50; ++j) {
-          if (pool.submit(1, [&] {
-                ran.fetch_add(1, std::memory_order_relaxed);
-              })) {
+          SubmitResult r = pool.try_submit(
+              1, [&] { ran.fetch_add(1, std::memory_order_relaxed); });
+          if (r == SubmitResult::kAccepted) {
             accepted.fetch_add(1, std::memory_order_relaxed);
+          } else {
+            EXPECT_EQ(r, SubmitResult::kShutdown);
           }
         }
       });
